@@ -19,6 +19,7 @@
 //!   onto).
 
 use scout_bench::harness::fmt_duration;
+use scout_equiv::Parallelism;
 use scout_sim::{MultiTenantRun, MultiTenantSoak, SoakOutcome, WorkloadKind};
 use scout_workload::TestbedSpec;
 
@@ -37,7 +38,7 @@ fn sweep_point(tenants: usize, threads: usize) -> MultiTenantSoak {
         tcam_capacity: 1024,
     };
     MultiTenantSoak {
-        threads,
+        concurrency: Parallelism::Fixed(threads),
         ..MultiTenantSoak::new(WorkloadKind::Testbed(spec), tenants, EPOCHS, SEED)
     }
     .without_oracle()

@@ -34,6 +34,7 @@
 use std::path::Path;
 
 use scout_bench::{arg_value, json};
+use scout_equiv::Parallelism;
 use scout_sim::{FleetRun, FleetSoak, WorkloadKind};
 use scout_workload::TestbedSpec;
 
@@ -56,7 +57,7 @@ fn sweep_point(tenants: usize, threads: usize) -> FleetSoak {
         tcam_capacity: 2048,
     };
     FleetSoak {
-        threads,
+        concurrency: Parallelism::Fixed(threads),
         distinct_seeds: false,
         ..FleetSoak::new(WorkloadKind::Testbed(spec), tenants, EPOCHS, SEED)
     }

@@ -21,7 +21,8 @@
 use std::time::Instant;
 
 use scout_bench::{arg_value, has_flag};
-use scout_sim::{AnalysisMode, Campaign, Concurrency, WorkloadKind};
+use scout_equiv::Parallelism;
+use scout_sim::{AnalysisMode, Campaign, WorkloadKind};
 use scout_workload::{ClusterSpec, ScaleSpec, TestbedSpec};
 
 fn main() {
@@ -44,9 +45,9 @@ fn main() {
         }
     };
     let concurrency = match threads {
-        0 => Concurrency::Auto,
-        1 => Concurrency::Sequential,
-        n => Concurrency::Threads(n),
+        0 => Parallelism::Auto,
+        1 => Parallelism::Sequential,
+        n => Parallelism::Fixed(n),
     };
     let campaign = Campaign {
         max_faults,

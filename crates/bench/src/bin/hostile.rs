@@ -22,7 +22,8 @@
 use std::time::Instant;
 
 use scout_bench::{arg_value, has_flag};
-use scout_sim::{Concurrency, HostileCampaign, HostileKind, WorkloadKind};
+use scout_equiv::Parallelism;
+use scout_sim::{HostileCampaign, HostileKind, WorkloadKind};
 use scout_workload::{ClusterSpec, TestbedSpec};
 
 fn main() {
@@ -43,9 +44,9 @@ fn main() {
         }
     };
     let concurrency = match threads {
-        0 => Concurrency::Auto,
-        1 => Concurrency::Sequential,
-        n => Concurrency::Threads(n),
+        0 => Parallelism::Auto,
+        1 => Parallelism::Sequential,
+        n => Parallelism::Fixed(n),
     };
     let campaign = HostileCampaign {
         max_faults,

@@ -13,6 +13,8 @@ use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use scout_metrics::nearest_rank;
+
 /// Wall-clock budget for the warm-up phase of one benchmark.
 const WARMUP_TARGET: Duration = Duration::from_millis(40);
 /// Upper bound on warm-up iterations (slow benchmarks warm up in one call).
@@ -110,8 +112,8 @@ impl Harness {
         }
         sample_means.sort();
 
-        let p50 = nearest_rank(&sample_means, 0.50);
-        let p99 = nearest_rank(&sample_means, 0.99);
+        let p50 = nearest_rank(&sample_means, 0.50).expect("at least one sample");
+        let p99 = nearest_rank(&sample_means, 0.99).expect("at least one sample");
         let stats = BenchStats {
             label: label.to_string(),
             iterations: u64::from(iters) * self.samples as u64,
@@ -197,13 +199,6 @@ impl Harness {
             );
         }
     }
-}
-
-/// Nearest-rank quantile over pre-sorted samples.
-fn nearest_rank(sorted: &[Duration], q: f64) -> Duration {
-    debug_assert!(!sorted.is_empty());
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Formats a duration with an appropriate unit.

@@ -19,8 +19,10 @@
 //!
 //! There is exactly one analysis pipeline in the codebase; everything here
 //! and in [`crate::session`] routes through the same stages (equivalence
-//! check → risk model → localization → correlation), so session reports are
-//! bit-identical to from-scratch analyses of the same fabric state.
+//! check → risk model → localization → correlation), and every report is
+//! assembled by one stage function (`EngineShared::run_stages`), so session
+//! reports are bit-identical to from-scratch analyses of the same fabric
+//! state.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +39,7 @@ use crate::correlation::{CorrelationEngine, CorrelationReport};
 use crate::gauges::ServiceGauges;
 use crate::localization::{scout_localize, Hypothesis, ScoutConfig};
 use crate::risk::{
-    augment_controller_model, augment_switch_model, controller_risk_model_sharded,
+    augment_controller_model_tracked, augment_switch_model, controller_risk_model_sharded,
     switch_risk_model, RiskModel,
 };
 use crate::session::AnalysisSession;
@@ -114,9 +116,9 @@ pub struct EngineConfig {
     /// [`EquivalenceChecker::set_node_budget`]). Must be at least 1.
     pub node_budget: usize,
     /// Node-table backend of the checkers' BDD managers (see
-    /// [`EquivalenceChecker::set_node_table`]). Defaults to the arena table;
-    /// the baseline toggle exists for benchmark comparisons — results are
-    /// identical either way.
+    /// [`EquivalenceChecker::set_node_table`]). Defaults to the arena table,
+    /// and results are identical either way. The toggle stays only because
+    /// the benchmark compares the baseline table against the arena.
     pub node_table: NodeTableKind,
     /// Differential-oracle cadence for drivers that cross-check incremental
     /// sessions against from-scratch analysis.
@@ -171,6 +173,15 @@ impl EngineConfig {
             return Err(EngineBuildError::ZeroRegistryShards);
         }
         Ok(())
+    }
+
+    /// A fresh equivalence checker configured from this engine configuration
+    /// (parallelism, node budget, node table).
+    pub(crate) fn checker(&self) -> EquivalenceChecker {
+        let mut checker = EquivalenceChecker::with_parallelism(self.parallelism);
+        checker.set_node_budget(self.node_budget);
+        checker.set_node_table(self.node_table);
+        checker
     }
 }
 
@@ -295,9 +306,7 @@ impl ScoutEngineBuilder {
     /// error (see the valid ranges on [`EngineConfig`]).
     pub fn build(self) -> Result<ScoutEngine, EngineBuildError> {
         self.config.validate()?;
-        let mut checker = EquivalenceChecker::with_parallelism(self.config.parallelism);
-        checker.set_node_budget(self.config.node_budget);
-        checker.set_node_table(self.config.node_table);
+        let checker = self.config.checker();
         let shards: Vec<RegistryShard> = (0..self.config.registry_shards)
             .map(|_| Mutex::new(BTreeMap::new()))
             .collect();
@@ -375,6 +384,55 @@ impl EngineShared {
     pub(crate) fn deregister(&self, fabric_id: u64, id: SessionId) {
         self.lock_shard(fabric_id).remove(&id);
     }
+
+    /// The post-check stages of the SCOUT pipeline (paper §IV–V), in their
+    /// one order: augment `model` with the failed edges of `check`, read the
+    /// failure signature and the suspect set, localize, correlate, and hand
+    /// the augmented model to `extra` (e.g. a baseline compared on identical
+    /// evidence). `model` is rolled back to its pristine state before
+    /// returning. Every [`ScoutReport`] in this crate is assembled here.
+    pub(crate) fn run_stages<T>(
+        &self,
+        model: &mut RiskModel<SwitchEpgPair>,
+        check: NetworkCheckResult,
+        universe: &PolicyUniverse,
+        change_log: &ChangeLog,
+        fault_log: &FaultLog,
+        extra: impl FnOnce(&RiskModel<SwitchEpgPair>) -> T,
+    ) -> (ScoutReport, T) {
+        let (observations, suspect_objects, hypothesis, diagnosis, extra) =
+            with_failed_edges(model, &check, |model| {
+                let observations = model.failure_signature();
+                let suspect_objects = model.suspect_set(&observations);
+                let hypothesis = scout_localize(model, change_log, self.config.scout);
+                let diagnosis =
+                    self.correlation
+                        .correlate(&hypothesis, universe, change_log, fault_log);
+                let extra = extra(model);
+                (observations, suspect_objects, hypothesis, diagnosis, extra)
+            });
+        let report = ScoutReport {
+            check,
+            observations,
+            suspect_objects,
+            hypothesis,
+            diagnosis,
+        };
+        (report, extra)
+    }
+}
+
+/// Runs `f` against `model` augmented with the failed edges of `check`, then
+/// rolls `model` back to its pristine state.
+pub(crate) fn with_failed_edges<T>(
+    model: &mut RiskModel<SwitchEpgPair>,
+    check: &NetworkCheckResult,
+    f: impl FnOnce(&RiskModel<SwitchEpgPair>) -> T,
+) -> T {
+    let marks = augment_controller_model_tracked(model, check.missing_rules());
+    let out = f(model);
+    model.undo_failures(marks);
+    out
 }
 
 // The whole point of the sharded engine: one `Arc<ScoutEngine>` (or cheap
@@ -567,37 +625,20 @@ impl ScoutEngine {
     /// one-shot analyses reuse BDD encodings; results never depend on cache
     /// state.
     pub fn analyze(&self, fabric: &Fabric) -> ScoutReport {
-        self.analyze_artifacts(
+        let shared = &self.shared;
+        let check = shared
+            .checker
+            .check_network(fabric.logical_rules(), &fabric.collect_tcam());
+        let mut model = controller_risk_model_sharded(fabric.universe(), shared.config.parallelism);
+        let (report, ()) = shared.run_stages(
+            &mut model,
+            check,
             fabric.universe(),
-            fabric.logical_rules(),
-            &fabric.collect_tcam(),
             fabric.change_log(),
             fabric.fault_log(),
-        )
-    }
-
-    /// One-shot analysis from the four raw artifacts: the policy (universe),
-    /// the logical rules, the collected TCAM rules, and the two logs.
-    pub fn analyze_artifacts(
-        &self,
-        universe: &PolicyUniverse,
-        logical_rules: &[LogicalRule],
-        tcam: &BTreeMap<SwitchId, Vec<TcamRule>>,
-        change_log: &ChangeLog,
-        fault_log: &FaultLog,
-    ) -> ScoutReport {
-        let check = self.shared.checker.check_network(logical_rules, tcam);
-        let mut model = controller_risk_model_sharded(universe, self.shared.config.parallelism);
-        augment_controller_model(&mut model, check.missing_rules());
-        report_from_model(
-            check,
-            &model,
-            universe,
-            change_log,
-            fault_log,
-            self.shared.config.scout,
-            &self.shared.correlation,
-        )
+            |_| (),
+        );
+        report
     }
 
     /// Runs the equivalence check and localization against the *switch risk
@@ -660,33 +701,6 @@ impl ScoutReport {
         } else {
             self.hypothesis.len() as f64 / self.suspect_objects.len() as f64
         }
-    }
-}
-
-/// Builds the localization/diagnosis stages of a report from an equivalence
-/// check and an *already augmented* controller risk model — the single
-/// assembly point shared by the one-shot and session paths.
-pub(crate) fn report_from_model(
-    check: NetworkCheckResult,
-    model: &RiskModel<SwitchEpgPair>,
-    universe: &PolicyUniverse,
-    change_log: &ChangeLog,
-    fault_log: &FaultLog,
-    scout: ScoutConfig,
-    correlation: &CorrelationEngine,
-) -> ScoutReport {
-    let observations = model.failure_signature();
-    let suspect_objects = model.suspect_set(&observations);
-
-    let hypothesis = scout_localize(model, change_log, scout);
-    let diagnosis = correlation.correlate(&hypothesis, universe, change_log, fault_log);
-
-    ScoutReport {
-        check,
-        observations,
-        suspect_objects,
-        hypothesis,
-        diagnosis,
     }
 }
 

@@ -82,7 +82,7 @@ pub use risk::{
     switch_risk_model, EdgeStatus, FailureMarks, RiskModel,
 };
 pub use session::{AnalysisSession, ReportDelta, ResyncRequest, SessionError, SessionStats};
-pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};
+pub use snapshot::{crc32, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 
 #[cfg(test)]
 mod proptests {

@@ -35,12 +35,8 @@ use scout_metrics::TimeSeries;
 use scout_policy::{LogicalRule, ObjectId, SwitchEpgPair, SwitchId};
 
 use crate::correlation::PartialDiagnosis;
-use crate::engine::{report_from_model, EngineShared, ScoutReport, SessionId};
-use crate::localization::scout_localize;
-use crate::risk::{
-    augment_controller_model, augment_controller_model_tracked, controller_risk_model,
-    controller_risk_model_sharded, RiskModel,
-};
+use crate::engine::{with_failed_edges, EngineShared, ScoutReport, SessionId};
+use crate::risk::{controller_risk_model, controller_risk_model_sharded, RiskModel};
 
 /// What an [`AnalysisSession`] needs after it detects an epoch gap: the
 /// range of epochs whose deltas were lost in transit.
@@ -368,23 +364,9 @@ pub struct AnalysisSession {
 impl AnalysisSession {
     /// Opens a session: snapshots `fabric` and runs the full pipeline once.
     pub(crate) fn open(shared: Arc<EngineShared>, id: SessionId, fabric: &Fabric) -> Self {
-        let mut checker = EquivalenceChecker::with_parallelism(shared.config.parallelism);
-        checker.set_node_budget(shared.config.node_budget);
-        checker.set_node_table(shared.config.node_table);
+        let checker = shared.config.checker();
         let view = FabricView::of(fabric);
-        let check = checker.check_network(view.logical_rules(), view.tcam());
-        let mut model = controller_risk_model_sharded(view.universe(), shared.config.parallelism);
-        let marks = augment_controller_model_tracked(&mut model, check.missing_rules());
-        let report = report_from_model(
-            check,
-            &model,
-            view.universe(),
-            view.change_log(),
-            view.fault_log(),
-            shared.config.scout,
-            &shared.correlation,
-        );
-        model.undo_failures(marks);
+        let (model, report) = analyze_view(&shared, &checker, &view);
         Self {
             id,
             shared,
@@ -412,9 +394,7 @@ impl AnalysisSession {
         id: SessionId,
         snapshot: &crate::snapshot::Snapshot,
     ) -> Self {
-        let mut checker = EquivalenceChecker::with_parallelism(shared.config.parallelism);
-        checker.set_node_budget(shared.config.node_budget);
-        checker.set_node_table(shared.config.node_table);
+        let checker = shared.config.checker();
         let view = snapshot.view().clone();
         let model = controller_risk_model_sharded(view.universe(), shared.config.parallelism);
         Self {
@@ -545,17 +525,14 @@ impl AnalysisSession {
             self.model =
                 controller_risk_model_sharded(self.view.universe(), self.shared.config.parallelism);
         }
-        let marks = augment_controller_model_tracked(&mut self.model, check.missing_rules());
-        let report = report_from_model(
+        let (report, ()) = self.shared.run_stages(
+            &mut self.model,
             check,
-            &self.model,
             self.view.universe(),
             self.view.change_log(),
             self.view.fault_log(),
-            self.shared.config.scout,
-            &self.shared.correlation,
+            |_| (),
         );
-        self.model.undo_failures(marks);
 
         let delta = ReportDelta::between(expected, dirty, &self.report, &report);
         self.report = report;
@@ -643,22 +620,8 @@ impl AnalysisSession {
         }
         let start = Instant::now();
         self.view = sync.into_view();
-        let check = self
-            .checker
-            .check_network(self.view.logical_rules(), self.view.tcam());
-        self.model =
-            controller_risk_model_sharded(self.view.universe(), self.shared.config.parallelism);
-        let marks = augment_controller_model_tracked(&mut self.model, check.missing_rules());
-        let report = report_from_model(
-            check,
-            &self.model,
-            self.view.universe(),
-            self.view.change_log(),
-            self.view.fault_log(),
-            self.shared.config.scout,
-            &self.shared.correlation,
-        );
-        self.model.undo_failures(marks);
+        let (model, report) = analyze_view(&self.shared, &self.checker, &self.view);
+        self.model = model;
 
         let delta =
             ReportDelta::between(epoch, self.view.switch_set().clone(), &self.report, &report);
@@ -748,36 +711,15 @@ impl AnalysisSession {
             self.checker
                 .check_network(fabric.logical_rules(), &fabric.collect_tcam())
         };
-        let scout = self.shared.config.scout;
         let shared = Arc::clone(&self.shared);
-        let (observations, suspect_objects, hypothesis, diagnosis, extra_out) = self
-            .with_augmented_model(fabric, &check, |model| {
-                let observations = model.failure_signature();
-                let suspect_objects = model.suspect_set(&observations);
-                let hypothesis = scout_localize(model, fabric.change_log(), scout);
-                let diagnosis = shared.correlation.correlate(
-                    &hypothesis,
-                    fabric.universe(),
-                    fabric.change_log(),
-                    fabric.fault_log(),
-                );
-                (
-                    observations,
-                    suspect_objects,
-                    hypothesis,
-                    diagnosis,
-                    extra(model),
-                )
-            });
-        (
-            ScoutReport {
-                check,
-                observations,
-                suspect_objects,
-                hypothesis,
-                diagnosis,
-            },
-            extra_out,
+        let mut fresh = None;
+        shared.run_stages(
+            self.pristine_model(fabric, &mut fresh),
+            check,
+            fabric.universe(),
+            fabric.change_log(),
+            fabric.fault_log(),
+            extra,
         )
     }
 
@@ -794,18 +736,14 @@ impl AnalysisSession {
             .checker
             .check_network(fabric.logical_rules(), &fabric.collect_tcam());
         let mut model = controller_risk_model(fabric.universe());
-        augment_controller_model(&mut model, check.missing_rules());
-        let report = report_from_model(
+        self.shared.run_stages(
+            &mut model,
             check,
-            &model,
             fabric.universe(),
             fabric.change_log(),
             fabric.fault_log(),
-            self.shared.config.scout,
-            &self.shared.correlation,
-        );
-        let extra_out = extra(&model);
-        (report, extra_out)
+            extra,
+        )
     }
 
     /// Runs `f` against the controller risk model augmented with the missing
@@ -819,17 +757,45 @@ impl AnalysisSession {
         check: &NetworkCheckResult,
         f: impl FnOnce(&RiskModel<SwitchEpgPair>) -> T,
     ) -> T {
+        let mut fresh = None;
+        with_failed_edges(self.pristine_model(fabric, &mut fresh), check, f)
+    }
+
+    /// The pristine controller risk model for analyzing `fabric`: the cached
+    /// one while `fabric` holds the mirrored policy, otherwise a fresh model
+    /// of the fabric's universe, built into `fresh`.
+    fn pristine_model<'a>(
+        &'a mut self,
+        fabric: &Fabric,
+        fresh: &'a mut Option<RiskModel<SwitchEpgPair>>,
+    ) -> &'a mut RiskModel<SwitchEpgPair> {
         if fabric.universe_version() == self.view.universe_version() {
-            let marks = augment_controller_model_tracked(&mut self.model, check.missing_rules());
-            let out = f(&self.model);
-            self.model.undo_failures(marks);
-            out
+            &mut self.model
         } else {
-            let mut model = controller_risk_model(fabric.universe());
-            augment_controller_model(&mut model, check.missing_rules());
-            f(&model)
+            fresh.insert(controller_risk_model(fabric.universe()))
         }
     }
+}
+
+/// The full pipeline over `view` through `checker`: a network-wide check, a
+/// fresh pristine risk model and the post-check stages — the open and resync
+/// path. Returns the pristine model with the report.
+fn analyze_view(
+    shared: &EngineShared,
+    checker: &EquivalenceChecker,
+    view: &FabricView,
+) -> (RiskModel<SwitchEpgPair>, ScoutReport) {
+    let check = checker.check_network(view.logical_rules(), view.tcam());
+    let mut model = controller_risk_model_sharded(view.universe(), shared.config.parallelism);
+    let (report, ()) = shared.run_stages(
+        &mut model,
+        check,
+        view.universe(),
+        view.change_log(),
+        view.fault_log(),
+        |_| (),
+    );
+    (model, report)
 }
 
 impl Drop for AnalysisSession {

@@ -83,12 +83,13 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// The 4-byte magic prefix of every encoded snapshot.
 const SNAPSHOT_MAGIC: [u8; 4] = *b"SCSN";
 
-/// CRC-32 (IEEE 802.3, reflected polynomial) over `bytes` — the payload
-/// integrity check of the snapshot frame. The wire layer only catches
-/// *structural* damage (truncation, bad tags); a flipped bit inside an
-/// in-range integer would otherwise decode cleanly into a silently wrong
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes` — the
+/// one checksum of every durable frame: the snapshot payload here, and the
+/// journal segments and anchors of `scout-store`. The wire layer only
+/// catches *structural* damage (truncation, bad tags); a flipped bit inside
+/// an in-range integer would otherwise decode cleanly into a silently wrong
 /// session, and a durable format must fail loudly instead.
-fn crc32(bytes: &[u8]) -> u32 {
+pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &byte in bytes {
         crc ^= u32::from(byte);
@@ -658,6 +659,12 @@ mod tests {
     use crate::engine::ScoutEngine;
     use scout_fabric::{Fabric, FabricProbe};
     use scout_policy::sample;
+
+    #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
 
     fn faulty_session() -> (ScoutEngine, Fabric, AnalysisSession) {
         let mut fabric = Fabric::new(sample::three_tier());

@@ -36,7 +36,7 @@ pub mod table;
 pub use accuracy::{gamma, precision, recall, Accuracy};
 pub use rank::RankQuality;
 pub use series::TimeSeries;
-pub use stats::{Bins, Cdf, Summary};
+pub use stats::{nearest_rank, Bins, Cdf, Summary};
 pub use table::{fmt3, fmt_mean, Table};
 
 #[cfg(test)]

@@ -1,5 +1,13 @@
 //! Aggregation helpers: run summaries, CDFs and bins.
 
+/// The nearest-rank `q`-quantile (0 ≤ q ≤ 1) of an ascending `sorted`
+/// slice: the smallest sample with at least a `q` fraction of the samples at
+/// or below it. `None` for an empty slice.
+pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len().max(1));
+    sorted.get(rank - 1).copied()
+}
+
 /// Mean / standard deviation / extrema of a set of measurements (one per
 /// experiment repetition).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,10 +99,8 @@ impl Cdf {
     ///
     /// Panics if the CDF is empty or `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
-        assert!(!self.sorted.is_empty(), "quantile of an empty cdf");
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        let rank = ((q * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
-        self.sorted[rank - 1]
+        nearest_rank(&self.sorted, q).expect("quantile of an empty cdf")
     }
 
     /// Summary statistics (mean, stddev, extrema) over the CDF's samples —
@@ -231,6 +237,16 @@ mod tests {
         let points = cdf.points();
         assert_eq!(points.first(), Some(&(1.0, 0.2)));
         assert_eq!(points.last(), Some(&(5.0, 1.0)));
+    }
+
+    #[test]
+    fn nearest_rank_works_on_any_sorted_slice() {
+        let sorted = [10u64, 20, 30, 40];
+        assert_eq!(nearest_rank(&sorted, 0.0), Some(10));
+        assert_eq!(nearest_rank(&sorted, 0.5), Some(20));
+        assert_eq!(nearest_rank(&sorted, 0.51), Some(30));
+        assert_eq!(nearest_rank(&sorted, 1.0), Some(40));
+        assert_eq!(nearest_rank::<u64>(&[], 0.5), None);
     }
 
     #[test]

@@ -14,22 +14,12 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use scout_core::{EngineConfig, ScoutEngine};
+use scout_equiv::Parallelism;
 use scout_fabric::Fabric;
 use scout_metrics::{fmt3, fmt_mean, Cdf, Summary, Table};
 
 use crate::scenario::{run_scenario, ScenarioKind, ScenarioMix, ScenarioOutcome, WorkloadKind};
-
-/// How many worker threads a campaign uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Concurrency {
-    /// One worker per available core, capped by the scenario count.
-    #[default]
-    Auto,
-    /// Single-threaded execution.
-    Sequential,
-    /// Exactly this many workers (at least 1).
-    Threads(usize),
-}
+use crate::stride::stride;
 
 /// Whether scenario analyses reuse the per-worker session snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,8 +46,8 @@ pub struct Campaign {
     pub mix: ScenarioMix,
     /// The campaign seed; scenario `i` derives its own seed from it.
     pub seed: u64,
-    /// Worker-thread policy.
-    pub concurrency: Concurrency,
+    /// Worker-thread policy, resolved against the scenario count.
+    pub concurrency: Parallelism,
     /// Session reuse policy.
     pub analysis: AnalysisMode,
     /// The analysis-engine configuration (localization knobs, checker
@@ -75,104 +65,47 @@ impl Campaign {
             max_faults: 3,
             mix: ScenarioMix::default(),
             seed,
-            concurrency: Concurrency::Auto,
+            concurrency: Parallelism::Auto,
             analysis: AnalysisMode::Incremental,
             engine: EngineConfig::default(),
-        }
-    }
-
-    fn thread_count(&self) -> usize {
-        match self.concurrency {
-            Concurrency::Sequential => 1,
-            Concurrency::Threads(n) => n.max(1),
-            Concurrency::Auto => std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(self.scenarios.max(1)),
         }
     }
 
     /// Deploys the reference fabric and runs every scenario against a
     /// private engine built from [`Campaign::engine`].
     ///
+    /// Each worker opens its own [`AnalysisSession`](scout_core::AnalysisSession)
+    /// on the engine, so the warm BDD caches and the pristine risk model are
+    /// reused across its scenarios without any cross-thread synchronization.
     /// The outcome vector is deterministic for a given configuration (thread
     /// count and analysis mode change only the wall-clock time).
     pub fn run(&self) -> CampaignRun {
         let engine = ScoutEngine::from_config(self.engine)
             .expect("campaign engine config is degenerate (see EngineConfig::validate)");
-        self.run_with_engine(&engine)
-    }
-
-    /// Like [`Campaign::run`], but routes every worker through a
-    /// caller-provided — possibly shared — engine: each worker opens its own
-    /// [`AnalysisSession`](scout_core::AnalysisSession) on it, so several
-    /// campaigns (or campaigns next to soak timelines) can share one engine.
-    /// Outcomes are bit-identical to a private-engine run.
-    pub fn run_with_engine(&self, engine: &ScoutEngine) -> CampaignRun {
         let start = Instant::now();
         let mut base = Fabric::new(self.workload.generate(self.seed));
         base.deploy();
-
-        let threads = self.thread_count();
-        let outcomes = if threads <= 1 {
-            self.worker(engine, &base, 0, 1)
-                .into_iter()
-                .map(|(_, outcome)| outcome)
+        let (outcomes, _) = stride(self.scenarios, self.concurrency, |indices| {
+            let mut session = engine.open_session(&base);
+            indices
+                .map(|index| {
+                    let seed = scenario_seed(self.seed, index);
+                    run_scenario(
+                        &mut session,
+                        self.analysis,
+                        &base,
+                        index,
+                        seed,
+                        self.max_faults,
+                        &self.mix,
+                    )
+                })
                 .collect()
-        } else {
-            let mut slots: Vec<Option<ScenarioOutcome>> = vec![None; self.scenarios];
-            std::thread::scope(|scope| {
-                let base = &base;
-                let handles: Vec<_> = (0..threads)
-                    .map(|worker| scope.spawn(move || self.worker(engine, base, worker, threads)))
-                    .collect();
-                for handle in handles {
-                    for (index, outcome) in handle.join().expect("campaign worker panicked") {
-                        slots[index] = Some(outcome);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every scenario index is covered"))
-                .collect()
-        };
-
+        });
         CampaignRun {
             outcomes,
             elapsed: start.elapsed(),
         }
-    }
-
-    /// Runs the scenario indices `worker, worker + stride, …` on one thread.
-    ///
-    /// Each worker opens a private [`AnalysisSession`](scout_core::AnalysisSession)
-    /// on the shared engine, so the warm BDD caches and the pristine risk
-    /// model are reused across its scenarios without any cross-thread
-    /// synchronization.
-    fn worker(
-        &self,
-        engine: &ScoutEngine,
-        base: &Fabric,
-        worker: usize,
-        stride: usize,
-    ) -> Vec<(usize, ScenarioOutcome)> {
-        let mut session = engine.open_session(base);
-        (worker..self.scenarios)
-            .step_by(stride.max(1))
-            .map(|index| {
-                let seed = scenario_seed(self.seed, index);
-                let outcome = run_scenario(
-                    &mut session,
-                    self.analysis,
-                    base,
-                    index,
-                    seed,
-                    self.max_faults,
-                    &self.mix,
-                );
-                (index, outcome)
-            })
-            .collect()
     }
 }
 
@@ -405,11 +338,11 @@ mod tests {
     #[test]
     fn campaign_is_deterministic_across_thread_counts() {
         let sequential = Campaign {
-            concurrency: Concurrency::Sequential,
+            concurrency: Parallelism::Sequential,
             ..small_campaign(42)
         };
         let threaded = Campaign {
-            concurrency: Concurrency::Threads(4),
+            concurrency: Parallelism::Fixed(4),
             ..small_campaign(42)
         };
         let a = sequential.run();
@@ -418,7 +351,7 @@ mod tests {
         assert_eq!(a.report(), b.report());
         // A different seed produces a different campaign.
         let c = Campaign {
-            concurrency: Concurrency::Sequential,
+            concurrency: Parallelism::Sequential,
             ..small_campaign(43)
         }
         .run();
@@ -454,7 +387,7 @@ mod tests {
     fn single_scenario_report_is_well_formed() {
         let campaign = Campaign {
             scenarios: 1,
-            concurrency: Concurrency::Sequential,
+            concurrency: Parallelism::Sequential,
             mix: ScenarioMix::object_faults_only(),
             ..small_campaign(3)
         };

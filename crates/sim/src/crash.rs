@@ -75,9 +75,12 @@ pub struct CrashSoakReport {
     pub final_epoch: u64,
 }
 
-/// One epoch of soak-style churn — the same disturbance mix the enforced
-/// checkpoint/session replays use.
-fn disturb(fabric: &mut Fabric, rng: &mut StdRng) {
+/// One epoch of soak-style churn: one seeded disturbance (rule drop, TCAM
+/// corruption, eviction, disconnect, agent crash, repair, or a policy edit)
+/// on one random switch. The crash soak and the enforced session,
+/// checkpoint and store suites all churn through it, so a seed replays the
+/// same timeline everywhere.
+pub fn disturb(fabric: &mut Fabric, rng: &mut StdRng) {
     let switch_ids = fabric.universe().switch_ids();
     let &switch = switch_ids.choose(rng).expect("workloads have switches");
     match rng.gen_range(0u32..8) {

@@ -29,15 +29,17 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use scout_core::{EngineConfig, ReportDelta, ScoutEngine, ScoutReport};
+use scout_equiv::Parallelism;
 use scout_fabric::wire::{from_bytes, to_bytes};
 use scout_fabric::{EventBatch, Fabric, FabricProbe};
-use scout_metrics::{fmt3, Table};
+use scout_metrics::{fmt3, nearest_rank, Table};
 use scout_server::{
     AdmissionConfig, ScoutServer, ServerConfig, ServerRequest, ServerResponse, TenantId,
 };
 use scout_workload::random_policy_edit;
 
 use crate::scenario::WorkloadKind;
+use crate::stride::stride;
 
 /// A fleet soak configuration: M tenants through wire-encoded server requests
 /// on T serving threads, one shared engine.
@@ -53,9 +55,9 @@ pub struct FleetSoak {
     pub epochs: usize,
     /// The base seed for both policy generation and fabric churn.
     pub base_seed: u64,
-    /// Number of serving threads (clamped to the tenant count; at least 1).
-    /// Each thread runs its own [`ScoutServer`] node.
-    pub threads: usize,
+    /// Serving-thread policy, resolved against the tenant count. Each
+    /// thread runs its own [`ScoutServer`] node.
+    pub concurrency: Parallelism,
     /// When `true` (the default) tenant `i` seeds from `base_seed + i`, so
     /// every tenant is a distinct workload. When `false` every tenant runs
     /// the **same** universe and batch stream — the uniform-load shape the
@@ -77,7 +79,7 @@ impl FleetSoak {
             tenants,
             epochs,
             base_seed,
-            threads: tenants.max(1),
+            concurrency: Parallelism::Fixed(tenants.max(1)),
             distinct_seeds: true,
             admission: AdmissionConfig::default(),
             engine: EngineConfig::default(),
@@ -170,45 +172,16 @@ impl FleetSoak {
         let start = Instant::now();
         let engine = ScoutEngine::from_config(self.engine)
             .expect("fleet engine config is degenerate (see EngineConfig::validate)");
-        let threads = self.threads.clamp(1, self.tenants.max(1));
-
-        let mut outcomes: Vec<Option<TenantOutcome>> = (0..self.tenants).map(|_| None).collect();
-        if threads <= 1 {
+        let (outcomes, threads) = stride(self.tenants, self.concurrency, |tenants| {
             let mut server =
                 ScoutServer::new(engine.clone(), ServerConfig::in_memory(self.admission));
-            for (tenant, slot) in outcomes.iter_mut().enumerate() {
-                *slot = Some(self.serve_tenant(&mut server, tenant));
-            }
-        } else {
-            std::thread::scope(|scope| {
-                let engine = &engine;
-                let handles: Vec<_> = (0..threads)
-                    .map(|worker| {
-                        scope.spawn(move || {
-                            let mut server = ScoutServer::new(
-                                engine.clone(),
-                                ServerConfig::in_memory(self.admission),
-                            );
-                            (worker..self.tenants)
-                                .step_by(threads)
-                                .map(|tenant| (tenant, self.serve_tenant(&mut server, tenant)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    for (tenant, outcome) in handle.join().expect("serving thread panicked") {
-                        outcomes[tenant] = Some(outcome);
-                    }
-                }
-            });
-        }
+            tenants
+                .map(|tenant| self.serve_tenant(&mut server, tenant))
+                .collect()
+        });
 
         FleetRun {
-            outcomes: outcomes
-                .into_iter()
-                .map(|slot| slot.expect("every tenant index is covered"))
-                .collect(),
+            outcomes,
             threads,
             elapsed: start.elapsed(),
         }
@@ -342,10 +315,12 @@ impl TenantOutcome {
         (&self.deltas, self.report.as_ref())
     }
 
-    /// Latency percentile in nanoseconds (`p` in 0..=100) over this tenant's
-    /// round-trips.
+    /// Nearest-rank latency percentile in nanoseconds (`p` in 0..=100) over
+    /// this tenant's round-trips (0 when there are none).
     pub fn latency_p(&self, p: f64) -> u64 {
-        percentile(&self.latencies_ns, p)
+        let mut sorted = self.latencies_ns.clone();
+        sorted.sort_unstable();
+        nearest_rank(&sorted, p / 100.0).unwrap_or(0)
     }
 
     /// Time this tenant spent being served, in seconds (sum of round-trips).
@@ -357,17 +332,6 @@ impl TenantOutcome {
     pub fn throughput_per_sec(&self) -> f64 {
         self.deltas.len() as f64 / self.busy_secs().max(1e-12)
     }
-}
-
-/// Nearest-rank percentile over an unsorted sample (0 for an empty one).
-fn percentile(sample: &[u64], p: f64) -> u64 {
-    if sample.is_empty() {
-        return 0;
-    }
-    let mut sorted = sample.to_vec();
-    sorted.sort_unstable();
-    let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// The result of one fleet soak: per-tenant outcomes plus the aggregate
@@ -403,15 +367,16 @@ impl FleetRun {
         self.total_ingests() as f64 / self.elapsed.as_secs_f64().max(1e-12)
     }
 
-    /// Latency percentile in nanoseconds over **every** round-trip in the
-    /// fleet.
+    /// Nearest-rank latency percentile in nanoseconds (`p` in 0..=100) over
+    /// **every** round-trip in the fleet (0 when there are none).
     pub fn latency_p(&self, p: f64) -> u64 {
-        let all: Vec<u64> = self
+        let mut all: Vec<u64> = self
             .outcomes
             .iter()
             .flat_map(|o| o.latencies_ns.iter().copied())
             .collect();
-        percentile(&all, p)
+        all.sort_unstable();
+        nearest_rank(&all, p / 100.0).unwrap_or(0)
     }
 
     /// Max-over-min per-tenant throughput — the fleet's fairness number. A
@@ -466,7 +431,7 @@ mod tests {
             tcam_capacity: 1024,
         };
         FleetSoak {
-            threads,
+            concurrency: Parallelism::Fixed(threads),
             ..FleetSoak::new(WorkloadKind::Testbed(spec), tenants, 12, 29)
         }
     }

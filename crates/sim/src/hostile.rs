@@ -31,13 +31,14 @@ use scout_core::{
     score_localize, AnalysisSession, EngineConfig, PartialDiagnosis, ScoutEngine, ScoutReport,
     SessionError,
 };
+use scout_equiv::Parallelism;
 use scout_fabric::{EventBatch, Fabric, FabricEvent, FabricProbe, FaultKind, FaultLog, Severity};
 use scout_faults::{FaultInjector, ObjectFaultKind};
 use scout_metrics::{fmt_mean, Accuracy, RankQuality, Summary, Table};
 use scout_policy::{ObjectId, SwitchId, TcamRule};
 
-use crate::campaign::Concurrency;
 use crate::scenario::WorkloadKind;
+use crate::stride::stride;
 
 /// The hostile disturbance classes, in report order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -113,8 +114,8 @@ pub struct HostileCampaign {
     pub max_faults: usize,
     /// The campaign seed; scenario `i` of each class derives its own seed.
     pub seed: u64,
-    /// Worker-thread policy.
-    pub concurrency: Concurrency,
+    /// Worker-thread policy, resolved against the scenario count.
+    pub concurrency: Parallelism,
     /// The analysis-engine configuration every scenario runs under.
     pub engine: EngineConfig,
 }
@@ -128,7 +129,7 @@ impl HostileCampaign {
             per_class,
             max_faults: 3,
             seed,
-            concurrency: Concurrency::Auto,
+            concurrency: Parallelism::Auto,
             engine: EngineConfig::default(),
         }
     }
@@ -137,94 +138,42 @@ impl HostileCampaign {
         self.per_class * HostileKind::ALL.len()
     }
 
-    fn thread_count(&self) -> usize {
-        match self.concurrency {
-            Concurrency::Sequential => 1,
-            Concurrency::Threads(n) => n.max(1),
-            Concurrency::Auto => std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(self.total().max(1)),
-        }
-    }
-
     /// Deploys the reference fabric and runs every scenario of every class
     /// against a private engine built from [`HostileCampaign::engine`].
     ///
-    /// The outcome vector is deterministic for a given configuration (thread
-    /// count changes only the wall-clock time).
+    /// One-shot classes share the worker's base session (the campaign
+    /// pattern); streaming classes open a private session per scenario, since
+    /// each one drives its own epoch sequence. The outcome vector is
+    /// deterministic for a given configuration (thread count changes only the
+    /// wall-clock time).
     pub fn run(&self) -> HostileRun {
         let engine = ScoutEngine::from_config(self.engine)
             .expect("hostile campaign engine config is degenerate (see EngineConfig::validate)");
-        self.run_with_engine(&engine)
-    }
-
-    /// Like [`HostileCampaign::run`], but routes every worker through a
-    /// caller-provided — possibly shared — engine.
-    pub fn run_with_engine(&self, engine: &ScoutEngine) -> HostileRun {
         let start = Instant::now();
         let mut base = Fabric::new(self.workload.generate(self.seed));
         base.deploy();
-
-        let threads = self.thread_count();
-        let outcomes = if threads <= 1 {
-            self.worker(engine, &base, 0, 1)
-                .into_iter()
-                .map(|(_, outcome)| outcome)
+        let (outcomes, _) = stride(self.total(), self.concurrency, |indices| {
+            let mut base_session = engine.open_session(&base);
+            indices
+                .map(|index| {
+                    let kind = HostileKind::ALL[index / self.per_class];
+                    let seed = hostile_seed(self.seed, kind, index % self.per_class);
+                    run_hostile_scenario(
+                        &engine,
+                        &mut base_session,
+                        &base,
+                        index,
+                        seed,
+                        kind,
+                        self.max_faults,
+                    )
+                })
                 .collect()
-        } else {
-            let mut slots: Vec<Option<HostileOutcome>> = vec![None; self.total()];
-            std::thread::scope(|scope| {
-                let base = &base;
-                let handles: Vec<_> = (0..threads)
-                    .map(|worker| scope.spawn(move || self.worker(engine, base, worker, threads)))
-                    .collect();
-                for handle in handles {
-                    for (index, outcome) in handle.join().expect("hostile worker panicked") {
-                        slots[index] = Some(outcome);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every scenario index is covered"))
-                .collect()
-        };
-
+        });
         HostileRun {
             outcomes,
             elapsed: start.elapsed(),
         }
-    }
-
-    /// Runs the scenario indices `worker, worker + stride, …` on one thread.
-    /// One-shot classes share the worker's base session (the campaign
-    /// pattern); streaming classes open a private session per scenario, since
-    /// each one drives its own epoch sequence.
-    fn worker(
-        &self,
-        engine: &ScoutEngine,
-        base: &Fabric,
-        worker: usize,
-        stride: usize,
-    ) -> Vec<(usize, HostileOutcome)> {
-        let mut base_session = engine.open_session(base);
-        (worker..self.total())
-            .step_by(stride.max(1))
-            .map(|index| {
-                let kind = HostileKind::ALL[index / self.per_class];
-                let seed = hostile_seed(self.seed, kind, index % self.per_class);
-                let outcome = run_hostile_scenario(
-                    engine,
-                    &mut base_session,
-                    base,
-                    index,
-                    seed,
-                    kind,
-                    self.max_faults,
-                );
-                (index, outcome)
-            })
-            .collect()
     }
 }
 
@@ -839,7 +788,7 @@ mod tests {
     fn small_campaign(seed: u64) -> HostileCampaign {
         HostileCampaign {
             max_faults: 2,
-            concurrency: Concurrency::Sequential,
+            concurrency: Parallelism::Sequential,
             ..HostileCampaign::new(WorkloadKind::Testbed(TestbedSpec::paper()), 6, seed)
         }
     }
@@ -848,7 +797,7 @@ mod tests {
     fn hostile_campaign_is_deterministic_across_thread_counts() {
         let sequential = small_campaign(42);
         let threaded = HostileCampaign {
-            concurrency: Concurrency::Threads(4),
+            concurrency: Parallelism::Fixed(4),
             ..small_campaign(42)
         };
         let a = sequential.run();

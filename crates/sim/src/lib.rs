@@ -36,17 +36,20 @@
 //! Both engines route all analysis through the
 //! [`ScoutEngine`](scout_core::ScoutEngine) facade; their knobs live in one
 //! [`EngineConfig`](scout_core::EngineConfig) carried by [`Campaign::engine`]
-//! and [`Timeline::engine`].
+//! and [`Timeline::engine`]. Every parallel driver takes its worker-thread
+//! policy as a [`Parallelism`](scout_equiv::Parallelism) and spreads its
+//! work through one worker-striding function.
 //!
 //! # Example
 //!
 //! ```
-//! use scout_sim::{Campaign, Concurrency, WorkloadKind};
+//! use scout_equiv::Parallelism;
+//! use scout_sim::{Campaign, WorkloadKind};
 //! use scout_workload::TestbedSpec;
 //!
 //! let campaign = Campaign {
 //!     scenarios: 8,
-//!     concurrency: Concurrency::Sequential,
+//!     concurrency: Parallelism::Sequential,
 //!     ..Campaign::new(WorkloadKind::Testbed(TestbedSpec::paper()), 8, 42)
 //! };
 //! let run = campaign.run();
@@ -66,11 +69,10 @@ pub mod hostile;
 pub mod multi;
 pub mod scenario;
 pub mod soak;
+mod stride;
 
-pub use campaign::{
-    scenario_seed, AnalysisMode, Campaign, CampaignReport, CampaignRun, Concurrency, KindStats,
-};
-pub use crash::{CrashSoak, CrashSoakReport};
+pub use campaign::{scenario_seed, AnalysisMode, Campaign, CampaignReport, CampaignRun, KindStats};
+pub use crash::{disturb, CrashSoak, CrashSoakReport};
 pub use fleet::{FleetRun, FleetSoak, TenantOutcome};
 pub use hostile::{
     hostile_seed, HostileCampaign, HostileClassStats, HostileKind, HostileOutcome, HostileReport,

@@ -22,10 +22,12 @@
 use std::time::{Duration, Instant};
 
 use scout_core::{EngineConfig, OracleCadence, ScoutEngine};
+use scout_equiv::Parallelism;
 use scout_metrics::{fmt3, Table};
 
 use crate::scenario::WorkloadKind;
 use crate::soak::{SoakOutcome, SoakRun, Timeline};
+use crate::stride::stride;
 
 /// A multi-tenant soak configuration: M timelines × T driver threads against
 /// one shared engine.
@@ -40,8 +42,8 @@ pub struct MultiTenantSoak {
     pub epochs: usize,
     /// The base seed; tenant `i` runs [`Timeline`] seed `base_seed + i`.
     pub base_seed: u64,
-    /// Number of driver threads (clamped to the tenant count; at least 1).
-    pub threads: usize,
+    /// Driver-thread policy, resolved against the tenant count.
+    pub concurrency: Parallelism,
     /// The shared engine's configuration — including the oracle cadence every
     /// tenant runs under.
     pub engine: EngineConfig,
@@ -56,7 +58,7 @@ impl MultiTenantSoak {
             tenants,
             epochs,
             base_seed,
-            threads: tenants.max(1),
+            concurrency: Parallelism::Fixed(tenants.max(1)),
             engine: EngineConfig::default(),
         }
     }
@@ -82,41 +84,14 @@ impl MultiTenantSoak {
         let start = Instant::now();
         let engine = ScoutEngine::from_config(self.engine)
             .expect("multi-tenant engine config is degenerate (see EngineConfig::validate)");
-        let threads = self.threads.clamp(1, self.tenants.max(1));
-
-        let mut runs: Vec<Option<SoakRun>> = (0..self.tenants).map(|_| None).collect();
-        if threads <= 1 {
-            for (tenant, slot) in runs.iter_mut().enumerate() {
-                *slot = Some(self.tenant_timeline(tenant).run_with_engine(&engine));
-            }
-        } else {
-            std::thread::scope(|scope| {
-                let engine = &engine;
-                let handles: Vec<_> = (0..threads)
-                    .map(|worker| {
-                        scope.spawn(move || {
-                            (worker..self.tenants)
-                                .step_by(threads)
-                                .map(|tenant| {
-                                    (tenant, self.tenant_timeline(tenant).run_with_engine(engine))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    for (tenant, run) in handle.join().expect("tenant driver thread panicked") {
-                        runs[tenant] = Some(run);
-                    }
-                }
-            });
-        }
+        let (runs, threads) = stride(self.tenants, self.concurrency, |tenants| {
+            tenants
+                .map(|tenant| self.tenant_timeline(tenant).run_with_engine(&engine))
+                .collect()
+        });
 
         MultiTenantRun {
-            runs: runs
-                .into_iter()
-                .map(|slot| slot.expect("every tenant index is covered"))
-                .collect(),
+            runs,
             threads,
             elapsed: start.elapsed(),
         }
@@ -228,7 +203,7 @@ mod tests {
             tcam_capacity: 1024,
         };
         MultiTenantSoak {
-            threads,
+            concurrency: Parallelism::Fixed(threads),
             ..MultiTenantSoak::new(WorkloadKind::Testbed(spec), tenants, 25, 17)
         }
     }

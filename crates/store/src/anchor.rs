@@ -28,10 +28,9 @@
 
 use std::fmt;
 
-use scout_core::{Snapshot, SnapshotError};
+use scout_core::{crc32, Snapshot, SnapshotError};
 
 use crate::digest::{sha256, Digest, Sha256};
-use crate::journal::crc32;
 
 /// Magic bytes opening every anchor file.
 pub const ANCHOR_MAGIC: [u8; 4] = *b"SCSA";

@@ -14,13 +14,17 @@
 //! typed [`SessionError::EpochGap`] and resyncs from a full fabric read must
 //! be bit-identical to an uninterrupted session from the resync epoch onward.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+use common::testbed_fabric;
 use scout::core::{ScoutEngine, SessionError};
+use scout::equiv::Parallelism;
 use scout::fabric::{Fabric, FabricProbe};
-use scout::sim::{Concurrency, HostileCampaign, HostileKind, WorkloadKind};
+use scout::sim::{HostileCampaign, HostileKind, WorkloadKind};
 use scout::workload::TestbedSpec;
 
 /// The committed hostile sweep: the paper's testbed workload, seed 42,
@@ -101,31 +105,17 @@ fn hostile_sweep_meets_the_committed_accuracy_floors() {
 #[test]
 fn hostile_campaigns_are_deterministic_across_thread_counts() {
     let base = HostileCampaign {
-        concurrency: Concurrency::Sequential,
+        concurrency: Parallelism::Sequential,
         ..HostileCampaign::new(WorkloadKind::Testbed(TestbedSpec::paper()), 6, 1337)
     };
     let reference = base.run();
     let threaded = HostileCampaign {
-        concurrency: Concurrency::Threads(4),
+        concurrency: Parallelism::Fixed(4),
         ..base
     }
     .run();
     assert_eq!(reference.outcomes, threaded.outcomes);
     assert_eq!(reference.report(), threaded.report());
-}
-
-fn testbed_fabric(seed: u64) -> Fabric {
-    let spec = TestbedSpec {
-        epgs: 12,
-        contracts: 8,
-        filters: 4,
-        target_pairs: 20,
-        switches: 3,
-        tcam_capacity: 1024,
-    };
-    let mut fabric = Fabric::new(spec.generate(seed));
-    fabric.deploy();
-    fabric
 }
 
 /// One epoch of churn for the recovery replay: evictions (logged and

@@ -8,6 +8,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use scout::core::{ReportDelta, ScoutEngine, ScoutReport};
+use scout::equiv::Parallelism;
 use scout::fabric::{EventBatch, Fabric, FabricProbe};
 use scout::server::{
     AdmissionConfig, OverloadPolicy, ScoutServer, ServerConfig, ServerRequest, ServerResponse,
@@ -250,11 +251,15 @@ fn multi_tenant_soak_outcomes_are_thread_count_invariant() {
     let base = MultiTenantSoak::new(WorkloadKind::Testbed(spec), TENANTS, 20, 5);
 
     let concurrent = MultiTenantSoak {
-        threads: TENANTS,
+        concurrency: Parallelism::Fixed(TENANTS),
         ..base
     }
     .run();
-    let sequential = MultiTenantSoak { threads: 1, ..base }.run();
+    let sequential = MultiTenantSoak {
+        concurrency: Parallelism::Fixed(1),
+        ..base
+    }
+    .run();
 
     assert_eq!(concurrent.runs.len(), TENANTS);
     for tenant in 0..TENANTS {

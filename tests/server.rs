@@ -20,6 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use scout::core::{ScoutEngine, ScoutReport};
+use scout::equiv::Parallelism;
 use scout::fabric::EventBatch;
 use scout::server::{
     AdmissionConfig, Cluster, ClusterConfig, OverloadPolicy, ScoutServer, ServerConfig,
@@ -45,7 +46,7 @@ fn fleet(threads: usize) -> FleetSoak {
         tcam_capacity: 1024,
     };
     FleetSoak {
-        threads,
+        concurrency: Parallelism::Fixed(threads),
         ..FleetSoak::new(WorkloadKind::Testbed(spec), TENANTS, EPOCHS, SEED)
     }
 }

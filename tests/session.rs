@@ -9,77 +9,18 @@
 //! and fault-log events) must reach exactly the conclusions a batch analysis
 //! of the whole fabric would.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+mod common;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use common::testbed_fabric;
 use scout::core::{ScoutEngine, SessionError};
-use scout::fabric::{CorruptionKind, EventBatch, Fabric, FabricEvent, FabricProbe};
+use scout::fabric::{EventBatch, FabricEvent, FabricProbe};
 use scout::policy::{LogicalRule, SwitchId};
-use scout::workload::{add_random_filter, random_policy_edit, TestbedSpec};
+use scout::sim::disturb;
 
 use std::collections::BTreeSet;
-
-fn testbed_fabric(seed: u64) -> Fabric {
-    let spec = TestbedSpec {
-        epgs: 12,
-        contracts: 8,
-        filters: 4,
-        target_pairs: 20,
-        switches: 3,
-        tcam_capacity: 1024,
-    };
-    let mut fabric = Fabric::new(spec.generate(seed));
-    fabric.deploy();
-    fabric
-}
-
-/// One epoch of soak-style churn: faults, repairs and concurrent policy
-/// edits, all decided by the seeded rng.
-fn disturb(fabric: &mut Fabric, rng: &mut StdRng) {
-    let switch_ids = fabric.universe().switch_ids();
-    let &switch = switch_ids.choose(rng).expect("workloads have switches");
-    match rng.gen_range(0u32..8) {
-        0 => {
-            let port = rng.gen_range(0u16..7);
-            fabric.remove_tcam_rules_where(switch, |r| r.matcher.ports.start % 7 == port);
-        }
-        1 => {
-            let kind = *[
-                CorruptionKind::VrfBit,
-                CorruptionKind::SrcEpgBit,
-                CorruptionKind::ActionFlip,
-            ]
-            .choose(rng)
-            .unwrap();
-            fabric.corrupt_tcam(switch, rng.gen_range(0usize..8), kind);
-        }
-        2 => {
-            fabric.evict_tcam(switch, rng.gen_range(1usize..3), rng.gen_bool(0.5));
-        }
-        3 => {
-            fabric.disconnect_switch(switch);
-        }
-        4 => {
-            fabric.crash_agent(switch);
-        }
-        5 => {
-            fabric.repair_switch(switch);
-        }
-        6 => {
-            let universe = fabric.universe().clone();
-            if let Some(edit) = add_random_filter(&universe, rng) {
-                fabric.update_policy(edit.universe);
-            }
-        }
-        _ => {
-            let universe = fabric.universe().clone();
-            if let Some(edit) = random_policy_edit(&universe, rng) {
-                fabric.update_policy(edit.universe);
-            }
-        }
-    }
-}
 
 /// The committed differential replay: 200 epochs, seed 42. At every epoch the
 /// session ingests the probe's delta batch and its on-demand full report must

@@ -18,76 +18,19 @@
 //! The seeded crash-injection soak from `scout-sim` rides along as a
 //! regression pin: its report (crash sites included) is deterministic.
 
+mod common;
+
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+use common::testbed_fabric;
 use scout::core::{ScoutEngine, ScoutReport};
-use scout::fabric::{CorruptionKind, EventBatch, Fabric, FabricProbe};
+use scout::fabric::{EventBatch, Fabric, FabricProbe};
+use scout::sim::disturb;
 use scout::sim::{CrashSoak, WorkloadKind};
 use scout::store::test_dir::TestDir;
 use scout::store::{verify_dir, CrashPlan, DurableEngine, StoreConfig, StoreError};
-use scout::workload::{add_random_filter, random_policy_edit, TestbedSpec};
-
-fn testbed_fabric(seed: u64) -> Fabric {
-    let spec = TestbedSpec {
-        epgs: 12,
-        contracts: 8,
-        filters: 4,
-        target_pairs: 20,
-        switches: 3,
-        tcam_capacity: 1024,
-    };
-    let mut fabric = Fabric::new(spec.generate(seed));
-    fabric.deploy();
-    fabric
-}
-
-/// One epoch of soak-style churn (same mix as the enforced session replay).
-fn disturb(fabric: &mut Fabric, rng: &mut StdRng) {
-    let switch_ids = fabric.universe().switch_ids();
-    let &switch = switch_ids.choose(rng).expect("workloads have switches");
-    match rng.gen_range(0u32..8) {
-        0 => {
-            let port = rng.gen_range(0u16..7);
-            fabric.remove_tcam_rules_where(switch, |r| r.matcher.ports.start % 7 == port);
-        }
-        1 => {
-            let kind = *[
-                CorruptionKind::VrfBit,
-                CorruptionKind::SrcEpgBit,
-                CorruptionKind::ActionFlip,
-            ]
-            .choose(rng)
-            .unwrap();
-            fabric.corrupt_tcam(switch, rng.gen_range(0usize..8), kind);
-        }
-        2 => {
-            fabric.evict_tcam(switch, rng.gen_range(1usize..3), rng.gen_bool(0.5));
-        }
-        3 => {
-            fabric.disconnect_switch(switch);
-        }
-        4 => {
-            fabric.crash_agent(switch);
-        }
-        5 => {
-            fabric.repair_switch(switch);
-        }
-        6 => {
-            let universe = fabric.universe().clone();
-            if let Some(edit) = add_random_filter(&universe, rng) {
-                fabric.update_policy(edit.universe);
-            }
-        }
-        _ => {
-            let universe = fabric.universe().clone();
-            if let Some(edit) = random_policy_edit(&universe, rng) {
-                fabric.update_policy(edit.universe);
-            }
-        }
-    }
-}
+use scout::workload::TestbedSpec;
 
 /// Small store knobs so short runs still cross segment rolls, anchors and
 /// compaction cycles.
