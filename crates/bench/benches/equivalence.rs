@@ -21,7 +21,7 @@ fn main() {
         };
         let mut fabric = Fabric::new(spec.generate(1));
         fabric.deploy();
-        let logical = fabric.logical_rules().to_vec();
+        let logical = fabric.logical_rules().clone();
         let tcam = fabric.collect_tcam();
 
         h.bench(&format!("consistent/{pairs}"), || {

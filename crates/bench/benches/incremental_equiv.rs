@@ -2,7 +2,7 @@
 //! fabric.
 //!
 //! This is the benchmark behind the incremental-pipeline refactor: after one
-//! of 32 switches loses TCAM rules, `recheck_dirty` must do work proportional
+//! of 32 switches loses TCAM rules, `recheck_dirty_with` must do work proportional
 //! to the change (1 switch), not the network (32 switches). The run asserts
 //! that the three strategies agree bit-for-bit and that the incremental
 //! recheck beats the full sequential check by at least 5×.
@@ -41,13 +41,22 @@ fn main() {
     let dirty: BTreeSet<_> = fabric.dirty_switches_since(checkpoint);
     assert_eq!(dirty.len(), 1, "exactly one switch must be dirty");
 
-    let logical = fabric.logical_rules().to_vec();
+    let logical = fabric.logical_rules().clone();
     let tcam = fabric.collect_tcam();
+    let incremental = || {
+        sequential.recheck_dirty_with(
+            &baseline,
+            &logical,
+            &tcam.keys().copied().collect(),
+            &dirty,
+            |s| tcam.get(&s).cloned().unwrap_or_default(),
+        )
+    };
 
     // The three strategies must agree bit-for-bit.
     let full_result = sequential.check_network(&logical, &tcam);
     let parallel_result = parallel.check_network(&logical, &tcam);
-    let incremental_result = sequential.recheck_dirty(&baseline, &logical, &tcam, &dirty);
+    let incremental_result = incremental();
     assert_eq!(full_result, parallel_result, "parallel check diverged");
     assert_eq!(
         full_result, incremental_result,
@@ -73,9 +82,7 @@ fn main() {
     let t_parallel = h.bench("full/parallel-warm", || {
         parallel.check_network(&logical, &tcam)
     });
-    let t_incremental = h.bench("incremental/1-dirty", || {
-        sequential.recheck_dirty(&baseline, &logical, &tcam, &dirty)
-    });
+    let t_incremental = h.bench("incremental/1-dirty", incremental);
     h.finish();
 
     let speedup = |num: Duration, den: Duration| num.as_secs_f64() / den.as_secs_f64().max(1e-12);

@@ -33,7 +33,7 @@ use scout_equiv::{
     DEFAULT_NODE_BUDGET,
 };
 use scout_fabric::{ChangeLog, Fabric, FaultLog};
-use scout_policy::{LogicalRule, ObjectId, PolicyUniverse, SwitchEpgPair, SwitchId, TcamRule};
+use scout_policy::{ObjectId, PolicyUniverse, SwitchEpgPair, SwitchId};
 
 use crate::correlation::{CorrelationEngine, CorrelationReport};
 use crate::gauges::ServiceGauges;
@@ -642,26 +642,28 @@ impl ScoutEngine {
     }
 
     /// Runs the equivalence check and localization against the *switch risk
-    /// model* of a single switch, as an admin debugging one device would.
+    /// model* of a single switch of `fabric`, as an admin debugging one device
+    /// would.
     pub fn analyze_switch(
         &self,
-        universe: &PolicyUniverse,
+        fabric: &Fabric,
         switch: SwitchId,
-        logical_rules: &[LogicalRule],
-        tcam: &[TcamRule],
-        change_log: &ChangeLog,
     ) -> (
         SwitchCheckResult,
         RiskModel<scout_policy::EpgPair>,
         Hypothesis,
     ) {
+        let logical = fabric
+            .logical_rules()
+            .get(&switch)
+            .map_or(&[][..], Vec::as_slice);
         let check = self
             .shared
             .checker
-            .check_switch(switch, logical_rules, tcam);
-        let mut model = switch_risk_model(universe, switch);
+            .check_switch(switch, logical, &fabric.tcam_rules(switch));
+        let mut model = switch_risk_model(fabric.universe(), switch);
         augment_switch_model(&mut model, switch, check.missing_rules.iter().copied());
-        let hypothesis = scout_localize(&model, change_log, self.shared.config.scout);
+        let hypothesis = scout_localize(&model, fabric.change_log(), self.shared.config.scout);
         (check, model, hypothesis)
     }
 }
@@ -767,13 +769,7 @@ mod tests {
             r.pair() == EpgPair::new(sample::WEB, sample::APP)
         });
         let engine = ScoutEngine::new();
-        let (check, model, hypothesis) = engine.analyze_switch(
-            fabric.universe(),
-            sample::S2,
-            fabric.logical_rules(),
-            &fabric.tcam_rules(sample::S2),
-            fabric.change_log(),
-        );
+        let (check, model, hypothesis) = engine.analyze_switch(&fabric, sample::S2);
         assert!(!check.equivalent);
         assert_eq!(model.element_count(), 2);
         // Per Figure 4(a): EPG:Web and Contract:Web-App explain the failure.

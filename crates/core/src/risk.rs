@@ -704,9 +704,9 @@ mod tests {
         let u = sample::three_tier();
         let all_rules = scout_fabric::compile(&u);
         // Pretend the two port-700 rules on S2 are missing.
-        let missing: Vec<LogicalRule> = all_rules
+        let missing: Vec<LogicalRule> = all_rules[&sample::S2]
             .iter()
-            .filter(|r| r.switch == sample::S2 && r.rule.matcher.ports.start == 700)
+            .filter(|r| r.rule.matcher.ports.start == 700)
             .copied()
             .collect();
         assert_eq!(missing.len(), 2);
@@ -829,7 +829,8 @@ mod tests {
     #[test]
     fn tracked_marks_undo_restores_the_pristine_model() {
         let u = sample::three_tier();
-        let all_rules = scout_fabric::compile(&u);
+        let all_rules: Vec<LogicalRule> =
+            scout_fabric::compile(&u).into_values().flatten().collect();
         let pristine = controller_risk_model(&u);
 
         // Augment with every possible missing-rule subset boundary: none, a
@@ -867,11 +868,7 @@ mod tests {
     fn tracked_marks_on_switch_model_roundtrip() {
         let u = sample::three_tier();
         let all_rules = scout_fabric::compile(&u);
-        let missing: Vec<LogicalRule> = all_rules
-            .iter()
-            .filter(|r| r.switch == sample::S2)
-            .copied()
-            .collect();
+        let missing: Vec<LogicalRule> = all_rules[&sample::S2].clone();
         let pristine = switch_risk_model(&u, sample::S2);
         let mut model = pristine.clone();
         let marks = augment_switch_model_tracked(&mut model, sample::S2, missing.iter().copied());

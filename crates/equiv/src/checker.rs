@@ -18,13 +18,13 @@
 //!   rule appearing on many switches (or across many checks) is encoded into
 //!   the header space once per worker and every apply/implies result stays
 //!   memoized.
-//! * **Indexed logical rules** — [`EquivalenceChecker::check_network`] groups
-//!   the logical rules by switch once (`O(total rules)`) instead of re-scanning
-//!   the full rule list per switch (`O(switches × total rules)`).
+//! * **Per-switch logical rules** — the checker takes the compiled logical
+//!   rules already grouped by switch (`scout_fabric::compile`'s shape), so a
+//!   switch's rules are one map lookup, never a scan of the network-wide list.
 //! * **Parallel checking** — per-switch checks are embarrassingly parallel;
 //!   large networks are split across worker threads, each with its own
 //!   manager. Results are deterministic regardless of thread count.
-//! * **Incremental re-checking** — [`EquivalenceChecker::recheck_dirty`]
+//! * **Incremental re-checking** — [`EquivalenceChecker::recheck_dirty_with`]
 //!   reuses a previous [`NetworkCheckResult`] and only revisits the switches
 //!   whose TCAM (or logical rule set) changed, doing work proportional to the
 //!   change instead of the network.
@@ -433,96 +433,66 @@ impl EquivalenceChecker {
         self.node_budget
     }
 
-    /// Groups logical rules by destination switch.
-    ///
-    /// Building this index once per check replaces the quadratic
-    /// filter-per-switch scan of the naive formulation.
-    pub fn index_by_switch(logical: &[LogicalRule]) -> BTreeMap<SwitchId, Vec<LogicalRule>> {
-        let mut index: BTreeMap<SwitchId, Vec<LogicalRule>> = BTreeMap::new();
-        for &rule in logical {
-            index.entry(rule.switch).or_default().push(rule);
-        }
-        index
-    }
-
     /// Checks one switch: compares the logical rules destined for `switch`
     /// against the TCAM rules collected from it.
     ///
-    /// `logical` may be the full network-wide rule list; it is filtered here.
-    /// When checking many switches prefer [`EquivalenceChecker::check_network`],
-    /// which indexes the rules once.
+    /// `logical` must be the switch's own rules (its entry in the per-switch
+    /// map, e.g. `fabric.logical_rules()[&switch]`); every rule's `switch`
+    /// must equal `switch`. When checking many switches prefer
+    /// [`EquivalenceChecker::check_network`].
     pub fn check_switch(
         &self,
         switch: SwitchId,
         logical: &[LogicalRule],
         tcam: &[TcamRule],
     ) -> SwitchCheckResult {
-        let for_switch: Vec<LogicalRule> = logical
-            .iter()
-            .filter(|l| l.switch == switch)
-            .copied()
-            .collect();
+        debug_assert!(
+            logical.iter().all(|l| l.switch == switch),
+            "check_switch({switch}) was given another switch's logical rules"
+        );
         let mut worker = self.lock_worker();
-        let result = worker.check_switch(&self.header_space, switch, &for_switch, tcam);
+        let result = worker.check_switch(&self.header_space, switch, logical, tcam);
         worker.maybe_shrink(&self.header_space, self.node_budget);
         result
     }
 
-    /// Checks every switch appearing either in the logical rules or in the
-    /// collected TCAM snapshot.
+    /// Checks every switch appearing either in the logical rules (grouped by
+    /// switch, as `scout_fabric::compile` returns them) or in the collected
+    /// TCAM snapshot.
     pub fn check_network(
         &self,
-        logical: &[LogicalRule],
+        logical: &BTreeMap<SwitchId, Vec<LogicalRule>>,
         tcam: &BTreeMap<SwitchId, Vec<TcamRule>>,
     ) -> NetworkCheckResult {
-        let index = Self::index_by_switch(logical);
         let mut switches: BTreeSet<SwitchId> = tcam.keys().copied().collect();
-        switches.extend(index.keys().copied());
-        let per_switch = self.check_switches(&index, tcam, switches.into_iter().collect());
+        switches.extend(logical.keys().copied());
+        let per_switch = self.check_switches(logical, tcam, switches.into_iter().collect());
         NetworkCheckResult { per_switch }
     }
 
-    /// Incrementally re-checks the network after a change.
+    /// Incrementally re-checks the network after a change, fetching TCAM
+    /// snapshots lazily, only for the switches that are actually re-checked.
     ///
     /// Starts from `previous` (a result produced by
-    /// [`EquivalenceChecker::check_network`] or an earlier `recheck_dirty`
-    /// against the *same evolving network*) and re-checks only:
+    /// [`EquivalenceChecker::check_network`] or an earlier recheck against
+    /// the *same evolving network*) and re-checks only:
     ///
     /// * the switches listed in `dirty`, and
     /// * switches present now but absent from `previous` (newly added).
     ///
-    /// Switches that disappeared from the network are dropped. Provided
+    /// `current_switches` is the set of switches present in the network now
+    /// (switches with logical rules are added automatically); switches that
+    /// disappeared are dropped. `tcam_of` is consulted once per re-checked
+    /// switch, so a no-change cycle copies no TCAM rules at all. Provided
     /// `dirty` covers every switch whose TCAM contents *or* logical rule set
     /// changed since `previous` was computed (see
     /// `scout_fabric::Fabric::dirty_switches_since`), the result is identical
     /// to a full [`EquivalenceChecker::check_network`] — at a cost
     /// proportional to the change, not the network.
-    pub fn recheck_dirty(
-        &self,
-        previous: &NetworkCheckResult,
-        logical: &[LogicalRule],
-        tcam: &BTreeMap<SwitchId, Vec<TcamRule>>,
-        dirty: &BTreeSet<SwitchId>,
-    ) -> NetworkCheckResult {
-        let switches: BTreeSet<SwitchId> = tcam.keys().copied().collect();
-        self.recheck_dirty_with(previous, logical, &switches, dirty, |s| {
-            tcam.get(&s).cloned().unwrap_or_default()
-        })
-    }
-
-    /// Like [`EquivalenceChecker::recheck_dirty`], but fetches TCAM snapshots
-    /// lazily, only for the switches that are actually re-checked.
-    ///
-    /// `current_switches` is the set of switches present in the network now
-    /// (switches appearing in `logical` are added automatically); `tcam_of`
-    /// is consulted once per re-checked switch. This keeps the *entire* cost
-    /// of an incremental cycle proportional to the change — a no-change cycle
-    /// copies no TCAM rules at all, where [`EquivalenceChecker::recheck_dirty`]
-    /// requires the caller to have collected the full network snapshot first.
     pub fn recheck_dirty_with<F>(
         &self,
         previous: &NetworkCheckResult,
-        logical: &[LogicalRule],
+        logical: &BTreeMap<SwitchId, Vec<LogicalRule>>,
         current_switches: &BTreeSet<SwitchId>,
         dirty: &BTreeSet<SwitchId>,
         mut tcam_of: F,
@@ -530,9 +500,8 @@ impl EquivalenceChecker {
     where
         F: FnMut(SwitchId) -> Vec<TcamRule>,
     {
-        let index = Self::index_by_switch(logical);
         let mut current = current_switches.clone();
-        current.extend(index.keys().copied());
+        current.extend(logical.keys().copied());
 
         let to_check: Vec<SwitchId> = current
             .iter()
@@ -550,7 +519,7 @@ impl EquivalenceChecker {
             .map(|(&s, r)| (s, r.clone()))
             .collect();
 
-        per_switch.append(&mut self.check_switches(&index, &tcam, to_check));
+        per_switch.append(&mut self.check_switches(logical, &tcam, to_check));
         NetworkCheckResult { per_switch }
     }
 
@@ -558,7 +527,7 @@ impl EquivalenceChecker {
     /// configured policy. Results are deterministic either way.
     fn check_switches(
         &self,
-        index: &BTreeMap<SwitchId, Vec<LogicalRule>>,
+        logical: &BTreeMap<SwitchId, Vec<LogicalRule>>,
         tcam: &BTreeMap<SwitchId, Vec<TcamRule>>,
         switches: Vec<SwitchId>,
     ) -> BTreeMap<SwitchId, SwitchCheckResult> {
@@ -571,11 +540,11 @@ impl EquivalenceChecker {
             let result = switches
                 .into_iter()
                 .map(|switch| {
-                    let logical = index.get(&switch).unwrap_or(&EMPTY_LOGICAL);
+                    let expected = logical.get(&switch).unwrap_or(&EMPTY_LOGICAL);
                     let rules = tcam.get(&switch).unwrap_or(&EMPTY_TCAM);
                     (
                         switch,
-                        worker.check_switch(&self.header_space, switch, logical, rules),
+                        worker.check_switch(&self.header_space, switch, expected, rules),
                     )
                 })
                 .collect();
@@ -611,11 +580,11 @@ impl EquivalenceChecker {
                         let results = chunk
                             .iter()
                             .map(|&switch| {
-                                let logical = index.get(&switch).unwrap_or(&EMPTY_LOGICAL);
+                                let expected = logical.get(&switch).unwrap_or(&EMPTY_LOGICAL);
                                 let rules = tcam.get(&switch).unwrap_or(&EMPTY_TCAM);
                                 (
                                     switch,
-                                    worker.check_switch(header_space, switch, logical, rules),
+                                    worker.check_switch(header_space, switch, expected, rules),
                                 )
                             })
                             .collect::<Vec<_>>();
@@ -742,7 +711,7 @@ mod tests {
     fn extra_tcam_rule_is_unexpected_but_nothing_missing() {
         let fabric = deployed();
         // Hand-install a rule on S1 that the policy does not call for.
-        let logical = fabric.logical_rules_for(sample::S3)[0];
+        let logical = fabric.logical_rules()[&sample::S3][0];
         let foreign = logical.rule;
         let mut tcam = fabric.collect_tcam();
         tcam.get_mut(&sample::S1).unwrap().push(foreign);
@@ -761,7 +730,7 @@ mod tests {
         let mut tcam = fabric.collect_tcam();
         // A stray switch with a leftover rule and no logical rules.
         let stray = scout_policy::SwitchId::new(99);
-        tcam.insert(stray, vec![fabric.logical_rules()[0].rule]);
+        tcam.insert(stray, vec![fabric.logical_rules()[&sample::S1][0].rule]);
         let result = checker.check_network(fabric.logical_rules(), &tcam);
         assert!(result.per_switch.contains_key(&stray));
         assert!(!result.per_switch[&stray].equivalent);
@@ -857,11 +826,12 @@ mod tests {
         fabric.remove_tcam_rules_where(sample::S2, |r| r.matcher.ports.start == 700);
         let tcam = fabric.collect_tcam();
         let full = checker.check_network(fabric.logical_rules(), &tcam);
-        let incremental = checker.recheck_dirty(
+        let incremental = checker.recheck_dirty_with(
             &baseline,
             fabric.logical_rules(),
-            &tcam,
+            &tcam.keys().copied().collect(),
             &BTreeSet::from([sample::S2]),
+            |s| tcam.get(&s).cloned().unwrap_or_default(),
         );
         assert_eq!(full, incremental);
         assert!(!incremental.is_consistent());
@@ -877,18 +847,20 @@ mod tests {
         let mut tcam = fabric.collect_tcam();
         tcam.remove(&sample::S1);
         let stray = scout_policy::SwitchId::new(77);
-        tcam.insert(stray, vec![fabric.logical_rules()[0].rule]);
+        tcam.insert(stray, vec![fabric.logical_rules()[&sample::S1][0].rule]);
         // Restrict the logical rules to the remaining switches so S1 truly
         // vanishes from the network.
-        let logical: Vec<_> = fabric
-            .logical_rules()
-            .iter()
-            .filter(|l| l.switch != sample::S1)
-            .copied()
-            .collect();
+        let mut logical = fabric.logical_rules().clone();
+        logical.remove(&sample::S1);
 
         let full = checker.check_network(&logical, &tcam);
-        let incremental = checker.recheck_dirty(&baseline, &logical, &tcam, &BTreeSet::new());
+        let incremental = checker.recheck_dirty_with(
+            &baseline,
+            &logical,
+            &tcam.keys().copied().collect(),
+            &BTreeSet::new(),
+            |s| tcam.get(&s).cloned().unwrap_or_default(),
+        );
         assert_eq!(full, incremental);
         assert!(!incremental.per_switch.contains_key(&sample::S1));
         assert!(incremental.per_switch.contains_key(&stray));
@@ -900,8 +872,13 @@ mod tests {
         let checker = EquivalenceChecker::new();
         let tcam = fabric.collect_tcam();
         let baseline = checker.check_network(fabric.logical_rules(), &tcam);
-        let again =
-            checker.recheck_dirty(&baseline, fabric.logical_rules(), &tcam, &BTreeSet::new());
+        let again = checker.recheck_dirty_with(
+            &baseline,
+            fabric.logical_rules(),
+            &tcam.keys().copied().collect(),
+            &BTreeSet::new(),
+            |s| tcam.get(&s).cloned().unwrap_or_default(),
+        );
         assert_eq!(baseline, again);
     }
 

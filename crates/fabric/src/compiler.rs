@@ -7,22 +7,43 @@
 //! (e.g. switch S2 in Figure 1 receives the rules of both the Web–App and
 //! App–DB pairs).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use scout_policy::{
     Action, EpgId, LogicalRule, PolicyUniverse, RuleMatch, RuleProvenance, SwitchId, TcamRule,
 };
 
-/// Compiles the whole universe into logical rules for every switch.
+/// Compiles the whole universe into the logical rules of every switch.
 ///
-/// The output is deterministic: rules are ordered by switch, then binding,
-/// then filter, then entry, then direction.
-pub fn compile(universe: &PolicyUniverse) -> Vec<LogicalRule> {
-    let mut rules = Vec::new();
-    for switch in universe.switch_ids() {
-        rules.extend(compile_for_switch(universe, switch));
-    }
-    rules
+/// Each value is exactly [`compile_for_switch`] for its key; switches that
+/// receive no rule have no entry. The output is deterministic: within a
+/// switch, rules are ordered by binding, then filter, then entry, then
+/// direction.
+pub fn compile(universe: &PolicyUniverse) -> BTreeMap<SwitchId, Vec<LogicalRule>> {
+    universe
+        .switch_ids()
+        .into_iter()
+        .map(|switch| (switch, compile_for_switch(universe, switch)))
+        .filter(|(_, rules)| !rules.is_empty())
+        .collect()
+}
+
+/// The switches of `switches` whose expected rule set differs between two
+/// compiles, ignoring rule order — the switches a policy update dirties.
+pub(crate) fn changed_switches(
+    old: &BTreeMap<SwitchId, Vec<LogicalRule>>,
+    new: &BTreeMap<SwitchId, Vec<LogicalRule>>,
+    switches: &BTreeSet<SwitchId>,
+) -> BTreeSet<SwitchId> {
+    switches
+        .iter()
+        .copied()
+        .filter(|switch| {
+            let old = old.get(switch).map_or(&[][..], Vec::as_slice);
+            let new = new.get(switch).map_or(&[][..], Vec::as_slice);
+            old != new && old.iter().collect::<BTreeSet<_>>() != new.iter().collect::<BTreeSet<_>>()
+        })
+        .collect()
 }
 
 /// Compiles the logical rules that must be present on one switch.
@@ -117,8 +138,55 @@ mod tests {
     fn full_compile_is_union_of_per_switch() {
         let u = sample::three_tier();
         let all = compile(&u);
-        assert_eq!(all.len(), 2 + 6 + 4);
+        assert_eq!(all.values().map(Vec::len).sum::<usize>(), 2 + 6 + 4);
         assert_eq!(rule_count_for_switch(&u, sample::S2), 6);
+    }
+
+    #[test]
+    fn compile_groups_exactly_the_switches_with_rules() {
+        let u = universe_with_an_idle_switch();
+        let by_switch = compile(&u);
+        let with_rules: Vec<SwitchId> = u
+            .switch_ids()
+            .into_iter()
+            .filter(|&s| !compile_for_switch(&u, s).is_empty())
+            .collect();
+        assert_eq!(by_switch.keys().copied().collect::<Vec<_>>(), with_rules);
+        assert!(!by_switch.contains_key(&SwitchId::new(2)));
+        for (&switch, rules) in &by_switch {
+            assert_eq!(*rules, compile_for_switch(&u, switch));
+        }
+        let flat: Vec<LogicalRule> = by_switch.values().flatten().copied().collect();
+        let concatenated: Vec<LogicalRule> = u
+            .switch_ids()
+            .into_iter()
+            .flat_map(|s| compile_for_switch(&u, s))
+            .collect();
+        assert_eq!(flat, concatenated);
+    }
+
+    #[test]
+    fn changed_switches_ignores_order_and_departed_switches() {
+        let u = sample::three_tier();
+        let old = compile(&u);
+        let all: BTreeSet<SwitchId> = u.switch_ids().into_iter().collect();
+        let mut reordered = old.clone();
+        reordered.get_mut(&sample::S2).unwrap().reverse();
+        assert!(changed_switches(&old, &reordered, &all).is_empty());
+
+        let mut edited = old.clone();
+        edited.get_mut(&sample::S2).unwrap().pop();
+        edited.remove(&sample::S3);
+        assert_eq!(
+            changed_switches(&old, &edited, &all),
+            BTreeSet::from([sample::S2, sample::S3])
+        );
+        // A switch outside the current set is never reported.
+        let without_s3: BTreeSet<SwitchId> = BTreeSet::from([sample::S1, sample::S2]);
+        assert_eq!(
+            changed_switches(&old, &edited, &without_s3),
+            BTreeSet::from([sample::S2])
+        );
     }
 
     #[test]
@@ -159,8 +227,15 @@ mod tests {
 
     #[test]
     fn switch_without_endpoints_gets_no_rules() {
+        let u = universe_with_an_idle_switch();
+        assert_eq!(compile_for_switch(&u, SwitchId::new(2)).len(), 0);
+        assert_eq!(compile_for_switch(&u, SwitchId::new(1)).len(), 2);
+    }
+
+    /// Two EPGs bound by one contract on switch 1; switch 2 hosts nothing.
+    fn universe_with_an_idle_switch() -> PolicyUniverse {
         use scout_policy::{Contract, ContractBinding, Endpoint, Epg, Filter, Switch, Tenant};
-        use scout_policy::{ContractId, EndpointId, EpgId, FilterId, SwitchId, TenantId, VrfId};
+        use scout_policy::{ContractId, EndpointId, FilterId, TenantId, VrfId};
         let mut b = PolicyUniverse::builder();
         b.tenant(Tenant::new(TenantId::new(0), "t"))
             .vrf(scout_policy::Vrf::new(VrfId::new(1), "v", TenantId::new(0)))
@@ -191,8 +266,6 @@ mod tests {
                 EpgId::new(2),
                 ContractId::new(1),
             ));
-        let u = b.build().unwrap();
-        assert_eq!(compile_for_switch(&u, SwitchId::new(2)).len(), 0);
-        assert_eq!(compile_for_switch(&u, SwitchId::new(1)).len(), 2);
+        b.build().unwrap()
     }
 }

@@ -32,6 +32,7 @@
 //! [`FabricProbe::full_resync`], after which the incremental contract holds
 //! from the resync point onward.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -208,7 +209,7 @@ pub struct FabricView {
     universe: PolicyUniverse,
     /// Switch ids of `universe`, cached for O(log n) membership checks.
     switches: BTreeSet<SwitchId>,
-    logical_rules: Vec<LogicalRule>,
+    logical_rules: BTreeMap<SwitchId, Vec<LogicalRule>>,
     tcam: BTreeMap<SwitchId, Vec<TcamRule>>,
     change_log: ChangeLog,
     fault_log: FaultLog,
@@ -222,7 +223,7 @@ impl FabricView {
             universe_version: fabric.universe_version(),
             universe: fabric.universe().clone(),
             switches: fabric.universe().switch_ids().into_iter().collect(),
-            logical_rules: fabric.logical_rules().to_vec(),
+            logical_rules: fabric.logical_rules().clone(),
             tcam: fabric.collect_tcam(),
             change_log: fabric.change_log().clone(),
             fault_log: fabric.fault_log().clone(),
@@ -263,8 +264,9 @@ impl FabricView {
         self.universe_version
     }
 
-    /// The compiled logical rules of the mirrored universe.
-    pub fn logical_rules(&self) -> &[LogicalRule] {
+    /// The compiled logical rules of the mirrored universe, grouped by switch
+    /// (see [`compiler::compile`]).
+    pub fn logical_rules(&self) -> &BTreeMap<SwitchId, Vec<LogicalRule>> {
         &self.logical_rules
     }
 
@@ -298,7 +300,7 @@ impl FabricView {
     pub fn matches(&self, fabric: &Fabric) -> bool {
         self.universe_version == fabric.universe_version()
             && self.universe == *fabric.universe()
-            && self.logical_rules == fabric.logical_rules()
+            && self.logical_rules == *fabric.logical_rules()
             && self.tcam == fabric.collect_tcam()
             && self.change_log == *fabric.change_log()
             && self.fault_log == *fabric.fault_log()
@@ -309,12 +311,12 @@ impl FabricView {
     /// whole batch first so a mid-batch error never leaves a half-applied
     /// mirror.
     pub fn validate(&self, events: &[FabricEvent]) -> Result<(), ApplyError> {
-        let mut switches = self.switches.clone();
+        let mut switches = Cow::Borrowed(&self.switches);
         let mut fault_len = self.fault_log.len();
         for event in events {
             match event {
                 FabricEvent::PolicyUpdate { universe, .. } => {
-                    switches = universe.switch_ids().into_iter().collect();
+                    switches = Cow::Owned(universe.switch_ids().into_iter().collect());
                 }
                 FabricEvent::TcamSync { switch, .. } => {
                     if !switches.contains(switch) {
@@ -348,18 +350,12 @@ impl FabricView {
         let mut dirty = BTreeSet::new();
         match event {
             FabricEvent::PolicyUpdate { version, universe } => {
-                let old_rules: BTreeSet<LogicalRule> = self.logical_rules.iter().copied().collect();
-                let new_rules_vec = compiler::compile(universe);
-                let new_rules: BTreeSet<LogicalRule> = new_rules_vec.iter().copied().collect();
+                let new_rules = compiler::compile(universe);
                 let new_switches: BTreeSet<SwitchId> = universe.switch_ids().into_iter().collect();
                 // A switch needs re-checking iff its expected rule set
                 // changed; switches that left the network drop out of the
                 // current set instead.
-                dirty = old_rules
-                    .symmetric_difference(&new_rules)
-                    .map(|r| r.switch)
-                    .filter(|s| new_switches.contains(s))
-                    .collect();
+                dirty = compiler::changed_switches(&self.logical_rules, &new_rules, &new_switches);
                 self.tcam.retain(|s, _| new_switches.contains(s));
                 for &switch in &new_switches {
                     self.tcam.entry(switch).or_default();
@@ -367,7 +363,7 @@ impl FabricView {
                 self.universe_version = *version;
                 self.universe = (**universe).clone();
                 self.switches = new_switches;
-                self.logical_rules = new_rules_vec;
+                self.logical_rules = new_rules;
             }
             FabricEvent::TcamSync { switch, rules } => {
                 if !self.switches.contains(switch) {
@@ -658,7 +654,7 @@ mod tests {
         let fabric = deployed();
         let view = FabricView::of(&fabric);
         assert!(view.matches(&fabric));
-        assert_eq!(view.logical_rules().len(), 12);
+        assert_eq!(view.logical_rules().values().flatten().count(), 12);
         assert_eq!(view.tcam_of(sample::S2).len(), 6);
         assert_eq!(view.tcam_of(SwitchId::new(999)).len(), 0);
         assert_eq!(view.switch_set().len(), 3);

@@ -95,7 +95,7 @@ pub struct Fabric {
     channels: BTreeMap<SwitchId, ControlChannel>,
     change_log: ChangeLog,
     fault_log: FaultLog,
-    logical_rules: Vec<LogicalRule>,
+    logical_rules: BTreeMap<SwitchId, Vec<LogicalRule>>,
     /// Fault-log indices of currently-active switch-unreachable faults.
     unreachable_faults: BTreeMap<SwitchId, usize>,
     /// Monotonic counter bumped on every check-relevant mutation (TCAM change
@@ -150,7 +150,7 @@ impl Fabric {
             channels,
             change_log: ChangeLog::new(),
             fault_log: FaultLog::new(),
-            logical_rules: Vec::new(),
+            logical_rules: BTreeMap::new(),
             unreachable_faults: BTreeMap::new(),
             epoch: 0,
             tcam_versions: BTreeMap::new(),
@@ -247,19 +247,10 @@ impl Fabric {
         self.clock.advance(ticks)
     }
 
-    /// The logical (L-type) rules of the last compile, i.e. the desired
-    /// per-switch rule sets.
-    pub fn logical_rules(&self) -> &[LogicalRule] {
+    /// The logical (L-type) rules of the last compile, grouped by switch
+    /// (see [`compiler::compile`]): the desired per-switch rule sets.
+    pub fn logical_rules(&self) -> &BTreeMap<SwitchId, Vec<LogicalRule>> {
         &self.logical_rules
-    }
-
-    /// The logical rules destined for one switch.
-    pub fn logical_rules_for(&self, switch: SwitchId) -> Vec<LogicalRule> {
-        self.logical_rules
-            .iter()
-            .filter(|r| r.switch == switch)
-            .copied()
-            .collect()
     }
 
     /// The TCAM (T-type) rules currently rendered on `switch`.
@@ -337,14 +328,15 @@ impl Fabric {
             .agents
             .keys()
             .copied()
-            .chain(self.logical_rules.iter().map(|r| r.switch))
+            .chain(self.logical_rules.keys().copied())
             .collect();
         for switch in switches {
             self.mark_dirty(switch);
         }
         let instructions: Vec<Instruction> = self
             .logical_rules
-            .iter()
+            .values()
+            .flatten()
             .map(|&rule| Instruction::install(rule))
             .collect();
         self.push(&instructions)
@@ -375,35 +367,30 @@ impl Fabric {
         // set; keeping their versions around would only leak entries.
         self.tcam_versions.retain(|id, _| new_switches.contains(id));
 
-        let old_rules: BTreeSet<LogicalRule> = self.logical_rules.iter().copied().collect();
-        let new_rules_vec = compiler::compile(&new_universe);
-        let new_rules: BTreeSet<LogicalRule> = new_rules_vec.iter().copied().collect();
-
-        let mut instructions = Vec::new();
-        for &removed in old_rules.difference(&new_rules) {
-            instructions.push(Instruction::remove(removed));
-        }
-        for &added in new_rules.difference(&old_rules) {
-            instructions.push(Instruction::install(added));
-        }
-
-        // A switch's expected rule set changed iff some rule in the symmetric
-        // difference targets it; those switches need re-checking even when the
-        // corresponding instruction never reaches the hardware. Switches that
-        // left the network are excluded — they were pruned from the version
-        // map above and must not be re-inserted as ghosts.
-        let changed: BTreeSet<SwitchId> = old_rules
-            .symmetric_difference(&new_rules)
-            .map(|r| r.switch)
-            .filter(|s| new_switches.contains(s))
+        let new_rules = compiler::compile(&new_universe);
+        let old_set: BTreeSet<&LogicalRule> = self.logical_rules.values().flatten().collect();
+        let new_set: BTreeSet<&LogicalRule> = new_rules.values().flatten().collect();
+        let mut instructions: Vec<Instruction> = old_set
+            .difference(&new_set)
+            .map(|&&removed| Instruction::remove(removed))
             .collect();
-        for switch in changed {
+        instructions.extend(
+            new_set
+                .difference(&old_set)
+                .map(|&&added| Instruction::install(added)),
+        );
+
+        // Switches whose expected rule set changed need re-checking even when
+        // the corresponding instruction never reaches the hardware. Switches
+        // that left the network are excluded — they were pruned from the
+        // version map above and must not be re-inserted as ghosts.
+        for switch in compiler::changed_switches(&self.logical_rules, &new_rules, &new_switches) {
             self.mark_dirty(switch);
         }
 
         self.universe = new_universe;
         self.universe_version = NEXT_UNIVERSE_VERSION.fetch_add(1, Ordering::Relaxed);
-        self.logical_rules = new_rules_vec;
+        self.logical_rules = new_rules;
         self.push(&instructions)
     }
 
@@ -412,7 +399,8 @@ impl Fabric {
     pub fn resync(&mut self) -> DeploymentReport {
         let instructions: Vec<Instruction> = self
             .logical_rules
-            .iter()
+            .values()
+            .flatten()
             .map(|&rule| Instruction::install(rule))
             .collect();
         self.push(&instructions)
@@ -604,20 +592,15 @@ impl Fabric {
         report.faults_cleared = self.fault_log.clear_active_for_switch(switch, t);
 
         // Data plane: drop garbage, then close the gap to the compiled policy.
-        let expected: BTreeSet<TcamRule> = self
-            .logical_rules
-            .iter()
-            .filter(|r| r.switch == switch)
-            .map(|r| r.rule)
-            .collect();
+        let expected_rules = self.logical_rules.get(&switch).cloned().unwrap_or_default();
+        let expected: BTreeSet<TcamRule> = expected_rules.iter().map(|r| r.rule).collect();
         report.garbage_removed = self
             .remove_tcam_rules_where(switch, |r| !expected.contains(r))
             .len();
         let present: BTreeSet<TcamRule> = self.tcam_rules(switch).into_iter().collect();
-        let instructions: Vec<Instruction> = self
-            .logical_rules
+        let instructions: Vec<Instruction> = expected_rules
             .iter()
-            .filter(|r| r.switch == switch && !present.contains(&r.rule))
+            .filter(|r| !present.contains(&r.rule))
             .map(|&rule| Instruction::install(rule))
             .collect();
         let pushed = self.push(&instructions);
@@ -644,10 +627,13 @@ impl Fabric {
     /// edit) are skipped; nothing is removed. A [`FaultKind::Repair`] audit
     /// event is recorded when any instruction is pushed.
     pub fn reinstall_rules(&mut self, rules: &[LogicalRule]) -> RepairReport {
-        let current: BTreeSet<LogicalRule> = self.logical_rules.iter().copied().collect();
         let instructions: Vec<Instruction> = rules
             .iter()
-            .filter(|r| current.contains(r))
+            .filter(|r| {
+                self.logical_rules
+                    .get(&r.switch)
+                    .is_some_and(|compiled| compiled.contains(r))
+            })
             .map(|&rule| Instruction::install(rule))
             .collect();
         if instructions.is_empty() {
@@ -792,8 +778,8 @@ mod tests {
         assert_eq!(fabric.tcam_rules(sample::S1).len(), 2);
         assert_eq!(fabric.tcam_rules(sample::S2).len(), 6);
         assert_eq!(fabric.tcam_rules(sample::S3).len(), 4);
-        assert_eq!(fabric.logical_rules().len(), 12);
-        assert_eq!(fabric.logical_rules_for(sample::S2).len(), 6);
+        assert_eq!(fabric.logical_rules().values().flatten().count(), 12);
+        assert_eq!(fabric.logical_rules()[&sample::S2].len(), 6);
     }
 
     #[test]
@@ -1051,12 +1037,22 @@ mod tests {
     #[test]
     fn update_policy_dirties_switches_with_changed_rules() {
         let mut fabric = deployed_three_tier();
+        let mut view = crate::FabricView::of(&fabric);
         let checkpoint = fabric.epoch();
         fabric.update_policy(three_tier_with_extra_filter());
         // The new filter adds rules on S2 and S3 only.
         assert_eq!(
             fabric.dirty_switches_since(checkpoint),
             BTreeSet::from([sample::S2, sample::S3])
+        );
+        // The monitor-side mirror derives the same dirty set from the event.
+        let update = crate::FabricEvent::PolicyUpdate {
+            version: fabric.universe_version(),
+            universe: Box::new(three_tier_with_extra_filter()),
+        };
+        assert_eq!(
+            view.apply(&update).unwrap(),
+            fabric.dirty_switches_since(checkpoint)
         );
     }
 
@@ -1186,10 +1182,9 @@ mod tests {
     #[test]
     fn reinstall_rules_restores_exactly_the_lost_rules() {
         let mut fabric = deployed_three_tier();
-        let lost: Vec<LogicalRule> = fabric
-            .logical_rules()
+        let lost: Vec<LogicalRule> = fabric.logical_rules()[&sample::S2]
             .iter()
-            .filter(|r| r.switch == sample::S2 && r.rule.matcher.ports.start == 700)
+            .filter(|r| r.rule.matcher.ports.start == 700)
             .copied()
             .collect();
         assert_eq!(lost.len(), 2);
@@ -1216,7 +1211,7 @@ mod tests {
     #[test]
     fn reinstall_through_a_dead_channel_reports_failure() {
         let mut fabric = deployed_three_tier();
-        let lost: Vec<LogicalRule> = fabric.logical_rules_for(sample::S3);
+        let lost: Vec<LogicalRule> = fabric.logical_rules()[&sample::S3].clone();
         fabric.remove_tcam_rules_where(sample::S3, |_| true);
         fabric.disconnect_switch(sample::S3);
         let report = fabric.reinstall_rules(&lost);

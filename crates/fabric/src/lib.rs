@@ -26,7 +26,7 @@
 //! let report = fabric.deploy();
 //! assert_eq!(report.rules_applied, 12);
 //! // Desired state (L-type rules) and actual state (T-type rules) agree.
-//! assert_eq!(fabric.logical_rules_for(sample::S2).len(), 6);
+//! assert_eq!(fabric.logical_rules()[&sample::S2].len(), 6);
 //! assert_eq!(fabric.tcam_rules(sample::S2).len(), 6);
 //! ```
 

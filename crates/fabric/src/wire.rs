@@ -1022,7 +1022,14 @@ mod tests {
             f.deploy();
             f
         };
-        roundtrip(&fabric.logical_rules().to_vec());
+        roundtrip(
+            &fabric
+                .logical_rules()
+                .values()
+                .flatten()
+                .copied()
+                .collect::<Vec<_>>(),
+        );
         roundtrip(&fabric.collect_tcam());
         for object in fabric.universe().all_objects() {
             roundtrip(&object);

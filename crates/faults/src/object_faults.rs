@@ -105,7 +105,7 @@ impl<R: Rng> FaultInjector<R> {
     /// contract, filter) that at least one compiled rule depends on.
     pub fn candidate_objects(fabric: &Fabric) -> Vec<ObjectId> {
         let mut candidates: BTreeSet<ObjectId> = BTreeSet::new();
-        for rule in fabric.logical_rules() {
+        for rule in fabric.logical_rules().values().flatten() {
             candidates.extend(rule.provenance.policy_objects());
         }
         candidates.into_iter().collect()
@@ -220,9 +220,13 @@ impl<R: Rng> FaultInjector<R> {
 
 /// The logical rules whose provenance (including the deployment switch)
 /// involves `object`.
-pub fn rules_for_object(logical_rules: &[LogicalRule], object: ObjectId) -> Vec<LogicalRule> {
+pub fn rules_for_object(
+    logical_rules: &BTreeMap<SwitchId, Vec<LogicalRule>>,
+    object: ObjectId,
+) -> Vec<LogicalRule> {
     logical_rules
-        .iter()
+        .values()
+        .flatten()
         .filter(|r| r.objects().contains(&object))
         .copied()
         .collect()

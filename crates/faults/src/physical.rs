@@ -32,8 +32,10 @@ impl PhysicalFault {
         let affected: BTreeSet<TcamRule> = self.affected_rules.iter().copied().collect();
         fabric
             .logical_rules()
-            .iter()
-            .filter(|l| l.switch == self.switch && affected.contains(&l.rule))
+            .get(&self.switch)
+            .into_iter()
+            .flatten()
+            .filter(|l| affected.contains(&l.rule))
             .flat_map(|l| l.provenance.policy_objects())
             .collect()
     }

@@ -266,8 +266,10 @@ fn prepare(base: &Fabric, seed: u64, max_faults: usize, mix: &ScenarioMix) -> Pr
                 // rules onto it; otherwise the flap was harmless.
                 let lost = fabric
                     .logical_rules()
-                    .iter()
-                    .filter(|r| r.switch == switch && r.provenance.filter == edit.filter)
+                    .get(&switch)
+                    .into_iter()
+                    .flatten()
+                    .filter(|r| r.provenance.filter == edit.filter)
                     .count();
                 if lost > 0 {
                     fault_count = 1;

@@ -684,8 +684,10 @@ impl Timeline {
                 let affected: BTreeSet<TcamRule> = fault.affected_rules.iter().copied().collect();
                 let outstanding: BTreeSet<LogicalRule> = fabric
                     .logical_rules()
-                    .iter()
-                    .filter(|r| r.switch == switch && affected.contains(&r.rule))
+                    .get(&switch)
+                    .into_iter()
+                    .flatten()
+                    .filter(|r| affected.contains(&r.rule))
                     .copied()
                     .collect();
                 let mut objects = fault.affected_objects(fabric);
@@ -718,8 +720,10 @@ impl Timeline {
                 let present: BTreeSet<TcamRule> = fabric.tcam_rules(switch).into_iter().collect();
                 excluded = fabric
                     .logical_rules()
-                    .iter()
-                    .filter(|r| r.switch == switch && !present.contains(&r.rule))
+                    .get(&switch)
+                    .into_iter()
+                    .flatten()
+                    .filter(|r| !present.contains(&r.rule))
                     .copied()
                     .collect();
                 // No rules are lost yet — the footprint accrues if pushes
@@ -788,7 +792,8 @@ fn reconcile(
         .collect();
     let mut missing: BTreeSet<LogicalRule> = fabric
         .logical_rules()
-        .iter()
+        .values()
+        .flatten()
         .filter(|r| {
             tcam_sets
                 .get(&r.switch)
@@ -975,10 +980,9 @@ mod tests {
         // rules already missing on the switch as excluded.
         fabric.disconnect_switch(sample::S2);
         let present: BTreeSet<TcamRule> = fabric.tcam_rules(sample::S2).into_iter().collect();
-        let excluded: BTreeSet<LogicalRule> = fabric
-            .logical_rules()
+        let excluded: BTreeSet<LogicalRule> = fabric.logical_rules()[&sample::S2]
             .iter()
-            .filter(|r| r.switch == sample::S2 && !present.contains(&r.rule))
+            .filter(|r| !present.contains(&r.rule))
             .copied()
             .collect();
         assert_eq!(excluded.len(), 2);

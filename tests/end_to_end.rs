@@ -115,13 +115,7 @@ fn switch_level_analysis_matches_figure_4a_reasoning() {
         r.pair() == EpgPair::new(sample::WEB, sample::APP)
     });
     let engine = ScoutEngine::new();
-    let (check, model, hypothesis) = engine.analyze_switch(
-        fabric.universe(),
-        sample::S2,
-        fabric.logical_rules(),
-        &fabric.tcam_rules(sample::S2),
-        fabric.change_log(),
-    );
+    let (check, model, hypothesis) = engine.analyze_switch(&fabric, sample::S2);
     assert!(!check.equivalent);
     assert_eq!(model.failure_signature().len(), 1);
     // Occam's razor: the objects used solely by the Web-App pair explain the

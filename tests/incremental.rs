@@ -44,7 +44,13 @@ fn single_switch_mutation_rechecks_identically() {
 
     let tcam = fabric.collect_tcam();
     let full = checker.check_network(fabric.logical_rules(), &tcam);
-    let incremental = checker.recheck_dirty(&baseline, fabric.logical_rules(), &tcam, &dirty);
+    let incremental = checker.recheck_dirty_with(
+        &baseline,
+        fabric.logical_rules(),
+        &tcam.keys().copied().collect(),
+        &dirty,
+        |s| tcam.get(&s).cloned().unwrap_or_default(),
+    );
     assert_eq!(full, incremental);
     assert_eq!(incremental.inconsistent_switches(), vec![victim]);
 }
@@ -65,7 +71,13 @@ fn multi_switch_mutations_recheck_identically() {
 
     let tcam = fabric.collect_tcam();
     let full = checker.check_network(fabric.logical_rules(), &tcam);
-    let incremental = checker.recheck_dirty(&baseline, fabric.logical_rules(), &tcam, &dirty);
+    let incremental = checker.recheck_dirty_with(
+        &baseline,
+        fabric.logical_rules(),
+        &tcam.keys().copied().collect(),
+        &dirty,
+        |s| tcam.get(&s).cloned().unwrap_or_default(),
+    );
     assert_eq!(full, incremental);
 }
 
